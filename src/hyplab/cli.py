@@ -10,6 +10,7 @@ error.json diagnostic), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -53,6 +54,10 @@ class _Run:
         self.args = args
         self.out_dir = args.out
         os.makedirs(self.out_dir, exist_ok=True)
+        # markers of an earlier run must not outlive this one
+        for name in ("manifest.json", "error.json"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(self.out_dir, name))
         self.outputs = []
         self.tolerances = {}
         self.t0 = time.monotonic()
@@ -80,7 +85,9 @@ class _Run:
             "outputs": self.outputs,
             "wall_time": time.monotonic() - self.t0,
         }
-        _write_json(os.path.join(self.out_dir, "manifest.json"), manifest)
+        path = os.path.join(self.out_dir, "manifest.json")
+        _write_json(path + ".tmp", manifest)
+        os.replace(path + ".tmp", path)
 
 
 # ---------------------------------------------------------------- helpers
@@ -98,12 +105,6 @@ def _load_group(name_or_path) -> fuchsian.GroupSpec:
     if os.path.exists(name_or_path):
         return fuchsian.load_group(name_or_path)
     return fuchsian.builtin_group(name_or_path)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("HYPLAB_THREADS", "1"))
 
 
 # ------------------------------------------------------------ subcommands
@@ -180,7 +181,7 @@ def _kernel_by_name(name, t):
         return selberg.RadialKernel(
             eval=lambda rho: np.where(np.abs(rho) <= rho_max,
                                       prof(np.abs(rho)), 0.0),
-            support=rho_max, smoothness_hint="smooth")
+            support=rho_max)
     raise argparse.ArgumentTypeError(f"unknown kernel '{name}'")
 
 
@@ -247,8 +248,7 @@ def _cmd_propagator(run, args):
         run.csv("lens_volume.csv", ["t", "r", "volume", "error"], rows)
     elif args.action == "hs":
         a = propagator.Observable(
-            eval=lambda z: np.sign(np.real(z)), sup_bound=1.0,
-            mean_zero_hint=True)
+            eval=lambda z: np.sign(np.real(z)), sup_bound=1.0)
         main, rem = propagator.hs_norm_estimate(G, a, args.T, args.radius,
                                                 args.n, args.seed)
         run.json("hs.json", {"T": args.T, "R": args.radius,
@@ -256,8 +256,7 @@ def _cmd_propagator(run, args):
                              "remainder_bound": rem.value})
     elif args.action == "ergodic-decay":
         a = propagator.Observable(
-            eval=lambda z: np.sign(np.real(z)), sup_bound=1.0,
-            mean_zero_hint=True)
+            eval=lambda z: np.sign(np.real(z)), sup_bound=1.0)
         t_list = [float(v) for v in args.tlist.split(",")]
         rows = propagator.ergodic_average_decay(G, a, t_list, args.r,
                                                 args.n, args.seed)
@@ -285,23 +284,14 @@ def _cmd_spectral_action(run, args):
                                                       "--interval"))
     c_I, k0 = spectral_action.verify_period_bound(I, k_max=50,
                                                   grid_n=args.grid_n)
-    avg_min, s_min = spectral_action.time_avg_lower_bound(I, args.T,
-                                                          grid_n=args.grid_n)
-    s_grid = I.s_grid(args.grid_n)
-    cycles = float(I.b) * args.T / (2.0 * math.pi)
-    n_t = max(256, int(16 * cycles) + 64)
-    x, w = np.polynomial.legendre.leggauss(n_t)
-    t_nodes = 0.5 * args.T * (x + 1.0)
-    t_wts = 0.5 * args.T * w
-    rows = []
-    for s in s_grid:
-        h_vals = spectral_action.h_t_grid(t_nodes, np.full(n_t, float(s)))
-        rows.append((float(s), float((h_vals ** 2) @ t_wts) / args.T))
-    run.csv("time_average.csv", ["s", "avg"], rows)
+    s_grid, avgs = spectral_action.time_average_table(I, args.T, args.grid_n)
+    run.csv("time_average.csv", ["s", "avg"],
+            [(float(s), float(v)) for s, v in zip(s_grid, avgs)])
+    i_min = int(np.argmin(avgs))
     run.json("spectral_action.json", {"interval": [I.a, I.b], "T": args.T,
                                       "c_I": c_I, "k0": k0,
-                                      "C_I_estimate": avg_min,
-                                      "argmin_s": s_min})
+                                      "C_I_estimate": float(avgs[i_min]),
+                                      "argmin_s": float(s_grid[i_min])})
 
 
 def _cmd_trace(run, args):
@@ -355,6 +345,8 @@ def _cmd_qe(run, args):
     E = trace.load_eigendata(args.eigen)
     with open(args.observable) as fh:
         doc = json.load(fh)
+    if "values" not in doc:
+        raise ValueError("observable JSON has no field 'values'")
     a_vals = np.asarray(doc["values"], dtype=float)
     interval = _parse_pair(args.interval, "--interval")
     if args.R is not None:
@@ -380,8 +372,6 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--out", default="out")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: HYPLAB_THREADS or 1)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sub.add_parser("geom-check", parents=[common]).set_defaults(
@@ -461,11 +451,10 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.threads = _threads(args)
     r = _Run(args)
     try:
         args.func(r, args)
-    except (HyplabError, ValueError, OSError) as exc:
+    except (HyplabError, ValueError, OSError, KeyError, TypeError) as exc:
         _write_json(os.path.join(r.out_dir, "error.json"),
                     {"error": type(exc).__name__, "message": str(exc)})
         return 1

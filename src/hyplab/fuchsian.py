@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EnumerationTruncated
 from .geom import (Point, MobiusElement, mobius_apply, hyp_dist, _dist_c,
-                   ball_volume, sample_ball_complex)
+                   _mobius_batch, ball_volume, sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
 # floating-point error (~1e-9 for entries of size e^{R/2} at word length
@@ -52,13 +52,14 @@ class GroupSpec:
             raise ValueError("need at least one generator")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupBall:
     """Nontrivial group elements displacing the center by at most
     ``radius``, together with the words that produced them (indices into
-    the doubled generator list: generators first, then inverses)."""
+    the doubled generator list: generators first, then inverses).
+    Immutable, because balls are cached and shared between callers."""
 
-    elements: list  # list of (MobiusElement, word)
+    elements: tuple  # tuple of (MobiusElement, word)
     radius: float
     center: Point
     truncated: bool = False
@@ -72,10 +73,9 @@ class GroupBall:
     def displacements(self) -> np.ndarray:
         if not self.elements:
             return np.array([])
-        zc = np.array([self.center.as_complex])
-        mats = self.matrices()
-        gz = (mats[:, 0] * zc + mats[:, 1]) / (mats[:, 2] * zc + mats[:, 3])
-        return _dist_c(gz, np.full(gz.shape, zc[0]))
+        zc = self.center.as_complex
+        gz = _mobius_batch(self.matrices(), [zc])[:, 0]
+        return _dist_c(gz, np.full(gz.shape, zc))
 
 
 def load_group(path) -> GroupSpec:
@@ -87,16 +87,19 @@ def load_group(path) -> GroupSpec:
 
 
 def _group_from_dict(doc) -> GroupSpec:
-    gens = tuple(MobiusElement(row[0][0], row[0][1], row[1][0], row[1][1])
-                 for row in doc["generators"])
-    bx, by = doc["base_point"]
-    return GroupSpec(
-        generators=gens,
-        name=doc.get("name", "unnamed"),
-        max_word_length=int(doc["max_word_length"]),
-        base_point=Point(bx, by),
-        domain_radius=float(doc.get("domain_radius", 3.0)),
-    )
+    try:
+        gens = tuple(MobiusElement(row[0][0], row[0][1], row[1][0], row[1][1])
+                     for row in doc["generators"])
+        bx, by = doc["base_point"]
+        return GroupSpec(
+            generators=gens,
+            name=doc.get("name", "unnamed"),
+            max_word_length=int(doc["max_word_length"]),
+            base_point=Point(bx, by),
+            domain_radius=float(doc.get("domain_radius", 3.0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"group JSON has no field {exc}") from None
 
 
 def builtin_group(name: str) -> GroupSpec:
@@ -181,7 +184,7 @@ def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
     else:
         truncated = bool(frontier)
 
-    return GroupBall(elements=elements, radius=R, center=z,
+    return GroupBall(elements=tuple(elements), radius=R, center=z,
                      truncated=truncated)
 
 
@@ -209,12 +212,8 @@ def min_displacement_batch(ball: GroupBall, zc: np.ndarray) -> np.ndarray:
     zc = np.asarray(zc)
     if not ball.elements:
         return np.full(zc.shape, np.inf)
-    mats = ball.matrices()
-    a, b = mats[:, 0][:, None], mats[:, 1][:, None]
-    c, d = mats[:, 2][:, None], mats[:, 3][:, None]
-    z = zc[None, :]
-    gz = (a * z + b) / (c * z + d)
-    return _dist_c(gz, np.broadcast_to(z, gz.shape)).min(axis=0)
+    gz = _mobius_batch(ball.matrices(), zc)
+    return _dist_c(gz, np.broadcast_to(zc[None, :], gz.shape)).min(axis=0)
 
 
 def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
@@ -238,29 +237,22 @@ def _membership_ball(G: GroupSpec, dz: float) -> GroupBall:
     return group_ball(G, G.base_point, R)
 
 
-def dirichlet_contains(G: GroupSpec, z: Point, R_cap: float = None) -> bool:
-    """Whether z lies in the open Dirichlet domain centered at the base
-    point: d(z0, z) < d(z0, gamma z) for every nontrivial gamma.
+def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
+    """Whether each complex point lies in the open Dirichlet domain
+    centered at the base point z0: d(z0, z) < d(z0, gamma z) for every
+    nontrivial gamma.
 
     Testing gamma with d(z0, gamma z0) <= 2 d(z0, z) + margin suffices
     (the standard Dirichlet-domain cutoff); a cached ball at the base
     point covering that cutoff is used.
     """
-    return bool(dirichlet_mask(G, np.array([z.as_complex]))[0])
-
-
-def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
-    """Vectorized Dirichlet membership for an array of complex points."""
     zc = np.asarray(zc)
     z0c = G.base_point.as_complex
     dz = _dist_c(np.full(zc.shape, z0c), zc)
     ball = _membership_ball(G, float(dz.max()) if zc.size else 0.0)
     if not ball.elements:
         return np.ones(zc.shape, dtype=bool)
-    mats = ball.matrices()
-    a, b = mats[:, 0][:, None], mats[:, 1][:, None]
-    c, d = mats[:, 2][:, None], mats[:, 3][:, None]
-    gz = (a * zc[None, :] + b) / (c * zc[None, :] + d)
+    gz = _mobius_batch(ball.matrices(), zc)
     dists = _dist_c(np.full(gz.shape, z0c), gz)
     return np.all(dz[None, :] < dists, axis=0)
 

@@ -87,6 +87,15 @@ class MobiusElement:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _raw(cls, a, b, c, d):
+        # Bypass the canonical-sign normalization: rotations are stored with
+        # their natural sign so that frame angles compose correctly.
+        self = object.__new__(cls)
+        for name, value in zip("abcd", (a, b, c, d)):
+            object.__setattr__(self, name, value)
+        return self
+
     @staticmethod
     def identity() -> "MobiusElement":
         return MobiusElement(1.0, 0.0, 0.0, 1.0)
@@ -125,6 +134,14 @@ def mobius_apply(g: MobiusElement, z: Point) -> Point:
     return Point.from_complex(g.apply_complex(z.as_complex))
 
 
+def _mobius_batch(mats: np.ndarray, zc) -> np.ndarray:
+    """gamma z for every row (a, b, c, d) of mats and every complex point
+    of zc: an (N, M) array for N matrices and M points."""
+    a, b, c, d = (mats[:, k][:, None] for k in range(4))
+    z = np.asarray(zc)[None, :]
+    return (a * z + b) / (c * z + d)
+
+
 def hyp_dist(z: Point, w: Point) -> float:
     """Hyperbolic distance, via sinh(d/2) = |z-w| / (2 sqrt(y1 y2))."""
     return _dist_c(z.as_complex, w.as_complex)
@@ -161,21 +178,6 @@ def _unframe(g: MobiusElement) -> UnitTangent:
     z = g.apply_complex(1j)
     theta = -2.0 * math.atan2(g.c, g.d)
     return UnitTangent(Point.from_complex(z), theta)
-
-
-def _raw(cls, a, b, c, d):
-    # Bypass the canonical-sign normalization: rotations are stored with
-    # their natural sign so that frame angles compose correctly.
-    self = object.__new__(cls)
-    object.__setattr__(self, "a", a)
-    object.__setattr__(self, "b", b)
-    object.__setattr__(self, "c", c)
-    object.__setattr__(self, "d", d)
-    return self
-
-
-MobiusElement._raw = classmethod(_raw)
-del _raw
 
 
 def geodesic_flow(v: UnitTangent, t: float) -> UnitTangent:

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (Point, ball_volume, hyp_dist, _dist_c, _polar_batch,
-                   polar_from, polar_to, sample_ball_complex, TWO_PI)
-from .fuchsian import GroupSpec, systole, thin_part_fraction, domain_volume, _domain_samples
+from .geom import (Point, ball_volume, hyp_dist, _dist_c, _disc_chart,
+                   _disc_chart_inv, _mobius_batch, _polar_batch, polar_from,
+                   polar_to, sample_ball_complex, TWO_PI)
+from .fuchsian import (GroupSpec, systole, thin_part_fraction, domain_volume,
+                       _domain_samples, _membership_ball)
+from .selberg import _gauss_legendre
 
 
 @dataclass
@@ -30,7 +33,6 @@ class Observable:
 
     eval: callable
     sup_bound: float
-    mean_zero_hint: bool = False
 
     def __call__(self, zc):
         return self.eval(zc)
@@ -50,7 +52,7 @@ class MCEstimate:
 
 def const_observable(c: float) -> Observable:
     return Observable(eval=lambda z: np.full(np.shape(z), float(c)),
-                      sup_bound=abs(c), mean_zero_hint=(c == 0.0))
+                      sup_bound=abs(c))
 
 
 def lens_halfwidth(t: float, r: float) -> float:
@@ -70,11 +72,12 @@ def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
     Rejection from B(z,t); when the expected acceptance (lens volume /
     ball volume) is below 1%, sample instead from the ball around the
     lens midpoint with the Pythagoras half-width, which contains the
-    lens snugly.  Returns (integral, error, acceptance).
+    lens snugly.  Returns (integral, error, acceptance, lens volume),
+    the volume estimated from the same samples.
     """
     r = float(_dist_c(np.array(zc), np.array(wc)))
     if r > 2.0 * t:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0
     rho = lens_halfwidth(t, r)
     vol_small = ball_volume(rho)
     use_midpoint = vol_small < 0.01 * ball_volume(t)
@@ -88,7 +91,7 @@ def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
         center = Point(zc.real, zc.imag)
         radius = t
     if radius <= 0.0:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0
     pts = sample_ball_complex(center, radius, n, seed)
     inside = ((_dist_c(pts, np.full(n, zc)) <= t)
               & (_dist_c(pts, np.full(n, wc)) <= t))
@@ -96,7 +99,8 @@ def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
     vol = ball_volume(radius)
     est = vol * float(vals.mean())
     err = vol * float(vals.std(ddof=1)) / math.sqrt(n)
-    return est, err, float(inside.mean())
+    acc = float(inside.mean())
+    return est, err, acc, vol * acc
 
 
 def apply_Pt(u: Observable, z: Point, t: float, n: int,
@@ -127,7 +131,8 @@ def kernel_PtaPt(a: Observable, z: Point, w: Point, t: float, n: int,
     if ball_volume(rho) < 1e-12:
         return MCEstimate(value=0.0, error=0.0,
                           extras={"degenerate": True, "acceptance": 0.0})
-    est, err, acc = _lens_mc(a.eval, z.as_complex, w.as_complex, t, n, seed)
+    est, err, acc, _ = _lens_mc(a.eval, z.as_complex, w.as_complex, t, n,
+                                seed)
     ct = math.cosh(t)
     return MCEstimate(value=est / ct, error=err / ct,
                       extras={"acceptance": acc})
@@ -139,7 +144,8 @@ def intersection_volume(t: float, r: float, n: int, seed: int) -> MCEstimate:
         raise ValueError("need 0 <= r <= 2t")
     zc = 1j
     wc = 1j * math.exp(r)  # vertical geodesic: d(i, i e^r) = r
-    est, err, acc = _lens_mc(lambda p: np.ones(p.shape), zc, wc, t, n, seed)
+    est, err, acc, _ = _lens_mc(lambda p: np.ones(p.shape), zc, wc, t, n,
+                                seed)
     return MCEstimate(value=est, error=err, extras={"acceptance": acc})
 
 
@@ -186,18 +192,15 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
     theta_out = TWO_PI * rng.random(n)
     rr = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
     # place z' at polar (theta_out, rr) around each z
-    w_disc = np.tanh(0.5 * rr) * np.exp(1j * theta_out)
-    zpc = (zc - np.conj(zc) * w_disc) / (1.0 - w_disc)
+    zpc = _disc_chart_inv(zc, np.tanh(0.5 * rr) * np.exp(1j * theta_out))
     # midpoint of the pair (z, z')
-    m_disc = np.tanh(0.25 * rr) * np.exp(1j * theta_out)
-    mc = (zc - np.conj(zc) * m_disc) / (1.0 - m_disc)
+    mc = _disc_chart_inv(zc, np.tanh(0.25 * rr) * np.exp(1j * theta_out))
     # Reduce the midpoint frame to the fundamental domain: translate m
     # into D and transport the direction by the same group element, so
     # that angle-dependent test functions are evaluated on quotient data.
     mc, zpc = _reduce_pair(G, mc, zpc, 0.5 * R)
     # direction at the (reduced) midpoint: angle of z' seen from m
-    wm = (zpc - mc) / (zpc - np.conj(mc))
-    theta_m = np.angle(wm) % TWO_PI
+    theta_m = np.angle(_disc_chart(mc, zpc)) % TWO_PI
     sep = 2.0 * _dist_c(mc, zpc)  # isometry-invariant separation
     vals_lhs = np.asarray(f(mc, theta_m, sep), dtype=float)
     scale_lhs = vol_D * ball_volume(R)
@@ -222,26 +225,14 @@ def _reduce_pair(G: GroupSpec, mc: np.ndarray, zpc: np.ndarray,
     """Apply, per sample, the group element bringing the midpoint
     closest to the base point (i.e. into the Dirichlet domain), to both
     the midpoint and its companion point."""
-    from .fuchsian import _membership_ball
     z0c = G.base_point.as_complex
     ball = _membership_ball(G, G.domain_radius + reach)
-    mats = [np.array([1.0, 0.0, 0.0, 1.0])]
-    if ball.elements:
-        mats.extend(ball.matrices())
-    mats = np.asarray(mats)
-    a, b = mats[:, 0][:, None], mats[:, 1][:, None]
-    c, d = mats[:, 2][:, None], mats[:, 3][:, None]
-    gm = (a * mc[None, :] + b) / (c * mc[None, :] + d)
+    mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
+    gm = _mobius_batch(mats, mc)
     dists = _dist_c(np.full(gm.shape, z0c), gm)
     pick = np.argmin(dists, axis=0)
     idx = np.arange(len(mc))
-    gzp = (a * zpc[None, :] + b) / (c * zpc[None, :] + d)
-    return gm[pick, idx], gzp[pick, idx]
-
-
-def _time_nodes(T: float, n_nodes: int = 64):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * T * (x + 1.0), 0.5 * T * w
+    return gm[pick, idx], _mobius_batch(mats, zpc)[pick, idx]
 
 
 def _avg_kernel_at(a: Observable, zc: complex, wc: complex, T: float,
@@ -282,7 +273,8 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
     """
     if T <= 0.0 or R <= 0.0:
         raise ValueError("T and R must be positive")
-    t_nodes, t_wts = _time_nodes(T, n_time_nodes)
+    x, w = _gauss_legendre(n_time_nodes)
+    t_nodes, t_wts = T * x, T * w
     vol_D, _ = domain_volume(G, n=4000, seed=seed + 1)
     rng = np.random.default_rng(seed)
     R_sep = 2.0 * T  # kernel support in separation
@@ -290,11 +282,9 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
     mc = _domain_samples(G, n, seed + 2)
     theta = TWO_PI * rng.random(n)
     sep = np.arccosh(1.0 + rng.random(n) * (math.cosh(R_sep) - 1.0))
-    half = np.tanh(0.25 * sep)
-    z_disc = half * np.exp(1j * theta)
-    w_disc = -z_disc
-    zc_arr = (mc - np.conj(mc) * z_disc) / (1.0 - z_disc)
-    wc_arr = (mc - np.conj(mc) * w_disc) / (1.0 - w_disc)
+    z_disc = np.tanh(0.25 * sep) * np.exp(1j * theta)
+    zc_arr = _disc_chart_inv(mc, z_disc)
+    wc_arr = _disc_chart_inv(mc, -z_disc)
 
     prods = np.empty(n)
     for i in range(n):
@@ -340,20 +330,17 @@ def ergodic_average_decay(G: GroupSpec, a: Observable, t_list, r: float,
     thetas = TWO_PI * rng.random(n)
     # lens centers at distance r/2 forwards and backwards along theta
     fw = np.tanh(0.25 * r) * np.exp(1j * thetas)
-    zf = (zc - np.conj(zc) * fw) / (1.0 - fw)
-    zb = (zc + np.conj(zc) * fw) / (1.0 + fw)
+    zf = _disc_chart_inv(zc, fw)
+    zb = _disc_chart_inv(zc, -fw)
 
     rows = []
     for t in t_list:
         vol = intersection_volume(t, r, 20_000, seed + 7).value
         sq = np.empty(n)
         for i in range(n):
-            est, _, _ = _lens_mc(lambda p: np.asarray(a.eval(p)) - mean_a,
-                                 complex(zf[i]), complex(zb[i]), t,
-                                 n_inner, seed + 50_000 + i)
-            lens_vol_i, _, _ = _lens_mc(lambda p: np.ones(p.shape),
-                                        complex(zf[i]), complex(zb[i]), t,
-                                        n_inner, seed + 50_000 + i)
+            est, _, _, lens_vol_i = _lens_mc(
+                lambda p: np.asarray(a.eval(p)) - mean_a, complex(zf[i]),
+                complex(zb[i]), t, n_inner, seed + 50_000 + i)
             sq[i] = (est / max(lens_vol_i, 1e-300)) ** 2
         deviation = math.sqrt(float(sq.mean()))
         rows.append((float(t), float(vol), deviation))

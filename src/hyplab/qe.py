@@ -53,6 +53,15 @@ def matrix_elements(E: EigenData, a_vals: np.ndarray) -> np.ndarray:
     return (V * (W * a_vals)[None, :] * V).sum(axis=1)
 
 
+def _mesh_values(E: EigenData, a) -> np.ndarray:
+    """a on the mesh: called on each mesh point, or taken as given."""
+    if not E.has_mesh:
+        raise NoMesh("eigen-data has no quadrature mesh")
+    if callable(a):
+        return np.asarray([a(p) for p in E.mesh_points], dtype=float)
+    return np.asarray(a, dtype=float)
+
+
 def qe_variance(E: EigenData, a, interval,
                 gram_warn_threshold: float = 1e-2) -> QEReport:
     """The QE variance statistic of a over eigenvalues in ``interval``.
@@ -62,8 +71,7 @@ def qe_variance(E: EigenData, a, interval,
     from each diagonal matrix element; squared deviations are summed
     over lambda_j in the window.
     """
-    if not E.has_mesh:
-        raise NoMesh("eigen-data has no quadrature mesh")
+    a_vals = _mesh_values(E, a)
     lam_lo, lam_hi = interval
     gram_dev = E.gram_deviation()
     if gram_dev > gram_warn_threshold:
@@ -71,10 +79,6 @@ def qe_variance(E: EigenData, a, interval,
             f"mesh Gram deviation {gram_dev:.2e} exceeds "
             f"{gram_warn_threshold:.0e}; matrix elements may be unreliable",
             GramDeviationTooLarge)
-    if callable(a):
-        a_vals = np.asarray([a(p) for p in E.mesh_points], dtype=float)
-    else:
-        a_vals = np.asarray(a, dtype=float)
     W = np.asarray(E.mesh_weights, dtype=float)
     mean_a = float((W * a_vals).sum()) / float(W.sum())
     diag = matrix_elements(E, a_vals)
@@ -114,11 +118,8 @@ def qe_report(E: EigenData, a, interval, R: float, ell_min: float,
               rho_gap: float, thin_volume: float) -> QEReport:
     """qe_variance plus the evaluated quantitative bound, with the norms
     of a estimated by the same mesh quadrature as the matrix elements."""
-    report = qe_variance(E, a, interval)
-    if callable(a):
-        a_vals = np.asarray([a(p) for p in E.mesh_points], dtype=float)
-    else:
-        a_vals = np.asarray(a, dtype=float)
+    a_vals = _mesh_values(E, a)
+    report = qe_variance(E, a_vals, interval)
     W = np.asarray(E.mesh_weights, dtype=float)
     mean_a = report.parameters["mean_a"]
     centered = a_vals - mean_a

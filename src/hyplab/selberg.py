@@ -40,17 +40,12 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
 
 @dataclass
 class RadialKernel:
-    """A radial kernel rho -> k(rho), compactly supported.
-
-    ``smoothness_hint`` is 'smooth' for continuous kernels and 'jump'
-    for kernels with a discontinuity at the support edge (e.g. the disc
-    indicator); quadrature splits at the edge either way, so the hint is
-    informational.
-    """
+    """A radial kernel rho -> k(rho), compactly supported.  Kernels may
+    jump at the support edge (e.g. the disc indicator); quadrature splits
+    there."""
 
     eval: callable
     support: float
-    smoothness_hint: str = "smooth"
 
     def __call__(self, rho):
         return self.eval(rho)
@@ -61,7 +56,6 @@ class SpectralFunction:
     """An even multiplier s -> h(s) on the spectral axis."""
 
     eval: callable
-    even: bool = True
 
     def __call__(self, s):
         return self.eval(s)
@@ -114,21 +108,32 @@ def abel_transform(k: RadialKernel, u: float,
     return math.sqrt(2.0) * total
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [0, 1]: the toolkit's one source
+    of quadrature nodes.  Cached; the arrays are read-only."""
+    from scipy.special import roots_legendre
+    x, w = roots_legendre(n)
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
+
+
 @functools.lru_cache(maxsize=256)
 def _gl(n: int):
     """Quadrature nodes and weights on [0, 1] with >= n nodes: a plain
     Gauss-Legendre rule for small n, composite 64-node panels beyond
     (node generation for single large rules is prohibitively slow)."""
-    from scipy.special import roots_legendre
     if n <= 256:
-        x, w = roots_legendre(n)
-        return 0.5 * (x + 1.0), 0.5 * w
+        return _gauss_legendre(n)
     m = -(-n // 64)  # number of panels
-    x0, w0 = roots_legendre(64)
-    x0 = 0.5 * (x0 + 1.0)
+    x0, w0 = _gauss_legendre(64)
     x = ((x0[None, :] + np.arange(m)[:, None]) / m).ravel()
-    w = np.tile(0.5 * w0 / m, m)
-    return x, w
+    return _frozen(x, np.tile(w0 / m, m))
 
 
 def _abel_gl(k_spline, S: float, u: float, n_scale: float = 1.0) -> float:
@@ -206,14 +211,7 @@ def selberg_forward(k: RadialKernel, cache_points: int = 800,
                 f"multiplier quadrature not converged at s={s}")
         return ref
 
-    return SpectralFunction(eval=h, even=True)
-
-
-def _band_nodes(band: float, n: int):
-    from scipy.special import roots_legendre
-    x, wts = roots_legendre(n)
-    s = 0.5 * band * (x + 1.0)
-    return s, 0.5 * band * wts
+    return SpectralFunction(eval=h)
 
 
 def _spectral_taper(s: np.ndarray, band: float) -> np.ndarray:
@@ -246,7 +244,9 @@ def selberg_inverse(h: SpectralFunction, band: float,
         raise ValueError("band must be positive")
     u_cap = 40.0
     n_nodes = max(512, int(2.0 * band * u_cap))
-    s_nodes, s_wts = _band_nodes(band, n_nodes)
+    # a single rule: composite panels shift heat-kernel outputs by > 1e-8
+    x, w = _gauss_legendre(n_nodes)
+    s_nodes, s_wts = band * x, band * w
     h_vals = (np.array([h.eval(s) for s in s_nodes])
               * _spectral_taper(s_nodes, band))
 
@@ -305,7 +305,7 @@ def selberg_inverse(h: SpectralFunction, band: float,
         return ref
 
     kernel = RadialKernel(eval=np.vectorize(k_eval, otypes=[float]),
-                          support=u_max, smoothness_hint="smooth")
+                          support=u_max)
 
     if roundtrip_check:
         fwd = selberg_forward(kernel, error_budget=1e-6)
@@ -328,7 +328,7 @@ def disc_kernel(t: float) -> RadialKernel:
     def k(rho):
         return np.where(np.asarray(rho) <= t, c, 0.0)
 
-    return RadialKernel(eval=k, support=t, smoothness_hint="jump")
+    return RadialKernel(eval=k, support=t)
 
 
 def heat_multiplier(t: float) -> SpectralFunction:

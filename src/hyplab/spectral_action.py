@@ -26,6 +26,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureFailure, BoundNotReached
+from .selberg import _gauss_legendre
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
 
@@ -88,9 +89,7 @@ def h_t_grid(t: np.ndarray, s: np.ndarray, n_nodes: int = None) -> np.ndarray:
     if n_nodes is None:
         cycles = float(np.max(np.abs(s) * t)) / (2.0 * math.pi)
         n_nodes = max(128, int(12 * cycles) + 32)
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    x = 0.5 * (x + 1.0)          # nodes on [0, 1]
-    w = 0.5 * w
+    x, w = _gauss_legendre(n_nodes)
     # u = t (1 - x^2), v = sqrt(t) x, dv = sqrt(t) dx
     u = t[:, None] * (1.0 - x[None, :] ** 2)
     ratio = _cosh_ratio(u, t[:, None])
@@ -201,22 +200,28 @@ def verify_period_bound(I: SpectralInterval, k_max: int,
     return c_I, k0
 
 
-def time_avg_lower_bound(I: SpectralInterval, T: float,
-                         grid_n: int = 256):
-    """min over the s-grid on I of (1/T) Int_0^T h_t(s)^2 dt, with the
-    minimizing s; Gauss-Legendre in t."""
+def time_average_table(I: SpectralInterval, T: float, grid_n: int = 256):
+    """The s-grid on I and, for each s, the time average
+    (1/T) Int_0^T h_t(s)^2 dt by Gauss-Legendre in t."""
     if T <= 0.0:
         raise ValueError("T must be positive")
     s_grid = I.s_grid(grid_n)
     cycles = float(I.b) * T / (2.0 * math.pi)
     n_t = max(256, int(16 * cycles) + 64)
-    x, w = np.polynomial.legendre.leggauss(n_t)
-    t_nodes = 0.5 * T * (x + 1.0)
-    t_wts = 0.5 * T * w
+    x, w = _gauss_legendre(n_t)
+    t_nodes, t_wts = T * x, T * w
     avgs = np.empty(len(s_grid))
     for i, s in enumerate(s_grid):
         h_vals = h_t_grid(t_nodes, np.full(n_t, s))
         avgs[i] = float((h_vals ** 2) @ t_wts) / T
+    return s_grid, avgs
+
+
+def time_avg_lower_bound(I: SpectralInterval, T: float,
+                         grid_n: int = 256):
+    """min over the s-grid on I of (1/T) Int_0^T h_t(s)^2 dt, with the
+    minimizing s."""
+    s_grid, avgs = time_average_table(I, T, grid_n)
     i_min = int(np.argmin(avgs))
     return float(avgs[i_min]), float(s_grid[i_min])
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureFailure, IllConditioned
-from .geom import Point, _dist_c
+from .geom import Point, _dist_c, _mobius_batch
 from .fuchsian import GroupSpec, group_ball, systole, _domain_samples, domain_volume
 from .selberg import heat_kernel, _heat_profile
 
@@ -66,15 +66,18 @@ class EigenData:
 def load_eigendata(path) -> EigenData:
     with open(path) as fh:
         doc = json.load(fh)
-    mesh = doc.get("mesh")
-    kw = {}
-    if mesh is not None:
-        kw = dict(mesh_points=np.asarray(mesh["points"], dtype=float),
-                  mesh_weights=np.asarray(mesh["weights"], dtype=float),
-                  mesh_values=np.asarray(mesh["values"], dtype=float))
-    return EigenData(volume=float(doc["volume"]),
-                     eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-                     **kw)
+    try:
+        mesh = doc.get("mesh")
+        kw = {}
+        if mesh is not None:
+            kw = dict(mesh_points=np.asarray(mesh["points"], dtype=float),
+                      mesh_weights=np.asarray(mesh["weights"], dtype=float),
+                      mesh_values=np.asarray(mesh["values"], dtype=float))
+        # EigenData converts the eigenvalue list itself
+        return EigenData(volume=float(doc["volume"]),
+                         eigenvalues=doc["eigenvalues"], **kw)
+    except KeyError as exc:
+        raise ValueError(f"eigen-data JSON has no field {exc}") from None
 
 
 def save_eigendata(E: EigenData, path) -> None:
@@ -172,10 +175,7 @@ def geometric_side_domain_integral(G: GroupSpec, t: float, R: float,
     zc = _domain_samples(G, n, seed)
     vol_D, _ = domain_volume(G, n=4000, seed=seed + 1)
     if ball.elements:
-        mats = ball.matrices()
-        a, b = mats[:, 0][:, None], mats[:, 1][:, None]
-        c, d = mats[:, 2][:, None], mats[:, 3][:, None]
-        gz = (a * zc[None, :] + b) / (c * zc[None, :] + d)
+        gz = _mobius_batch(ball.matrices(), zc)
         disp = _dist_c(gz, np.broadcast_to(zc[None, :], gz.shape))
         # count each element only while inside its own ball radius R
         contrib = np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0)

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from hyplab.cli import run
+from hyplab.spectral_action import SpectralInterval, time_average_table
 
 
 def read_manifest(out):
@@ -63,17 +64,73 @@ def test_csv_format_contract(tmp_path):
 
 def test_rerun_byte_identical_and_thread_independent(tmp_path):
     outs = []
-    for i, threads in enumerate(("1", "1", "4")):
+    for i, seed in enumerate(("3", "3", "4")):
         out = tmp_path / f"o{i}"
         assert run(["group", "ball", "--group", "bolza", "--radius", "4",
-                    "--seed", "3", "--threads", threads,
-                    "--out", str(out)]) == 0
+                    "--seed", seed, "--out", str(out)]) == 0
         outs.append(out)
     bodies = [(o / "group_ball.csv").read_bytes() for o in outs]
-    assert bodies[0] == bodies[1] == bodies[2]
+    assert bodies[0] == bodies[1] == bodies[2]  # the ball ignores the seed
     hashes = [read_manifest(o)["config_hash"] for o in outs]
     assert hashes[0] == hashes[1]  # same config -> same hash
-    assert hashes[2] != hashes[0]  # --threads is part of the config
+    assert hashes[2] != hashes[0]  # --seed is part of the config
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path):
+    out = tmp_path / "o"
+    assert run(["geom-check", "--out", str(out)]) == 0
+    assert run(["selberg", "roundtrip", "--band", "1", "--out", str(out)]) == 1
+    markers = {p.name for p in out.iterdir()} & {"manifest.json",
+                                                 "error.json"}
+    assert markers == {"error.json"}
+    assert run(["geom-check", "--out", str(out)]) == 0
+    assert not (out / "error.json").exists()
+    assert not list(out.glob("*.tmp"))
+
+
+def test_missing_input_field_is_a_clean_error(tmp_path):
+    import numpy as np
+    from hyplab.synthetic import flat_mesh_eigendata
+    from hyplab.trace import save_eigendata
+
+    good = tmp_path / "eig.json"
+    save_eigendata(flat_mesh_eigendata(20, 5, seed=3), good)
+    no_ev = tmp_path / "no_ev.json"
+    no_ev.write_text(json.dumps({"volume": 1.0}))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"values": list(np.ones(20))}))
+    no_values = tmp_path / "no_values.json"
+    no_values.write_text(json.dumps({"data": []}))
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"generators": [[[2.0, 0.0], [0.0, 0.5]]],
+                                 "max_word_length": 4}))
+    cases = [
+        (["qe", "--eigen", str(no_ev), "--observable", str(obs)],
+         "'eigenvalues'"),
+        (["qe", "--eigen", str(good), "--observable", str(no_values)],
+         "'values'"),
+        (["group", "ball", "--group", str(group)], "'base_point'"),
+    ]
+    for i, (argv, field) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError" and field in err["message"]
+        assert not (out / "manifest.json").exists()
+
+
+def test_spectral_action_writes_the_time_average_table(tmp_path):
+    out = tmp_path / "o"
+    assert run(["spectral-action", "--interval", "1,2", "--T", "20",
+                "--grid-n", "8", "--out", str(out)]) == 0
+    s_grid, avgs = time_average_table(SpectralInterval(1.0, 2.0), 20.0,
+                                      grid_n=8)
+    with open(out / "time_average.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(float(s), float(a)) for s, a in rows] == list(zip(s_grid, avgs))
+    doc = json.loads((out / "spectral_action.json").read_text())
+    assert doc["C_I_estimate"] == avgs.min()
+    assert doc["argmin_s"] == s_grid[avgs.argmin()]
 
 
 def test_selberg_roundtrip_passes_default_tol(tmp_path):

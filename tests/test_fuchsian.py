@@ -74,6 +74,17 @@ def test_octagon_ball_counts(bolza_group):
     assert len(group_ball(G, z, 6.0)) == 96
 
 
+def test_cached_ball_cannot_be_changed(bolza_group):
+    G, z = bolza_group, bolza_group.base_point
+    ball = group_ball(G, z, 4.0)
+    with pytest.raises(AttributeError):
+        ball.elements.clear()
+    with pytest.raises(AttributeError):
+        ball.elements = ()
+    assert group_ball(G, z, 4.0) is ball
+    assert len(ball) == 8
+
+
 def test_ball_displacements_within_radius(bolza_group):
     ball = group_ball(bolza_group, bolza_group.base_point, 6.0)
     assert np.all(ball.displacements() <= 6.0 + 1e-9)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from hyplab.geom import (Point, UnitTangent, MobiusElement, mobius_apply,
                          hyp_dist, ball_volume, geodesic_flow, polar_from,
-                         polar_to, sample_ball, sample_ball_complex)
+                         polar_to, sample_ball, sample_ball_complex,
+                         _mobius_batch)
 
 # bounded coordinate ranges keep cosh arguments well inside double range
 coords = st.floats(-5.0, 5.0)
@@ -64,6 +65,16 @@ def test_distance_symmetry_and_positivity(z, w):
 @given(points(), points(), points())
 def test_triangle_inequality(z, w, v):
     assert hyp_dist(z, w) <= hyp_dist(z, v) + hyp_dist(v, w) + 1e-8
+
+
+@given(st.lists(mobius_elements(), min_size=1, max_size=4),
+       st.lists(points(), min_size=1, max_size=4))
+def test_mobius_batch_is_the_scalar_action(gs, zs):
+    mats = np.array([g.entries for g in gs])
+    zc = np.array([z.as_complex for z in zs])
+    # elementwise on the same NumPy scalars, so the same complex division
+    expected = np.array([[g.apply_complex(z) for z in zc] for g in gs])
+    assert np.array_equal(_mobius_batch(mats, zc), expected)
 
 
 @given(mobius_elements(), points(), points())

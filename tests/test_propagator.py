@@ -92,8 +92,7 @@ def test_midpoint_change_of_variables_quick(cyclic_group):
 
 
 def test_ergodic_average_decay_shrinks(cyclic_group):
-    a = Observable(eval=lambda zc: np.sign(np.real(zc)),
-                   sup_bound=1.0, mean_zero_hint=True)
+    a = Observable(eval=lambda zc: np.sign(np.real(zc)), sup_bound=1.0)
     rows = ergodic_average_decay(cyclic_group, a, t_list=(2.0, 4.0),
                                  r=1.0, n=60, seed=3, n_inner=300)
     rows = list(rows)

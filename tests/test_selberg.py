@@ -11,7 +11,8 @@ from hyplab.errors import BandTooSmall, OdeFailure
 from hyplab.selberg import (RadialKernel, abel_transform, selberg_forward,
                             selberg_inverse, disc_kernel, heat_multiplier,
                             heat_kernel, heat_kernel_mass,
-                            heat_bound_constant, spherical_oracle)
+                            heat_bound_constant, spherical_oracle,
+                            _gauss_legendre, _gl)
 from hyplab.spectral_action import h_t_closed
 from hyplab.trace import weyl_density
 
@@ -21,6 +22,22 @@ def closed_abel_disc(t, u):
     kernel: 2 sqrt(2) sqrt(cosh t - cosh u) / sqrt(cosh t)."""
     return 2.0 * math.sqrt(2.0) * math.sqrt(math.cosh(t) - math.cosh(u)) \
         / math.sqrt(math.cosh(t))
+
+
+def test_gauss_legendre_rules_are_exact_on_polynomials():
+    """Int_0^1 x^k dx = 1/(k+1) to 1e-14: up to k = 2n - 1 for the
+    n-node rule, and up to k = 127 for composite 64-node panels."""
+    for n in range(1, 65):
+        for x, w in (_gauss_legendre(n), _gl(n)):
+            for k in range(2 * n):
+                assert abs(w @ x ** k - 1.0 / (k + 1)) <= 1e-14
+    x, w = _gl(300)
+    assert len(x) >= 300
+    for k in range(128):
+        assert abs(w @ x ** k - 1.0 / (k + 1)) <= 1e-14
+    # the cached arrays are shared, so callers cannot write to them
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_abel_transform_disc_closed_form():

@@ -1,0 +1,54 @@
+"""Each numerical building block lives in one place in the package:
+Gauss-Legendre nodes come only from ``selberg._gauss_legendre``, and the
+batched Mobius action (a*z + b)/(c*z + d) is written only in
+``geom._mobius_batch`` (besides the scalar
+``MobiusElement.apply_complex``)."""
+
+import ast
+import pathlib
+
+import hyplab
+
+SRC = pathlib.Path(hyplab.__file__).parent
+NODE_SOURCES = {"roots_legendre", "leggauss"}
+ALLOWED = {"nodes": {"_gauss_legendre"},
+           "mobius": {"_mobius_batch", "apply_complex"}}
+
+
+def _walk(node, func=None):
+    """Yield every descendant with the name of its innermost enclosing
+    function (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, func
+        inner = child.name if isinstance(child, ast.FunctionDef) else func
+        yield from _walk(child, inner)
+
+
+def _is_affine(node):
+    """An expression of the form x * y + w."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Mult))
+
+
+def _sites():
+    for path in sorted(SRC.glob("*.py")):
+        for node, func in _walk(ast.parse(path.read_text())):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name in NODE_SOURCES and not isinstance(node, ast.FunctionDef):
+                yield "nodes", path.name, node.lineno, func
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and _is_affine(node.left) and _is_affine(node.right)):
+                yield "mobius", path.name, node.lineno, func
+
+
+def test_one_node_source_and_one_batched_mobius_action():
+    sites = list(_sites())
+    stray = [f"{kind} at {file}:{line} in {func}"
+             for kind, file, line, func in sites
+             if func not in ALLOWED[kind]]
+    assert not stray
+    # the scan sees the sanctioned sites, so it is not vacuous
+    assert {(kind, func) for kind, _, _, func in sites} == {
+        (kind, func) for kind, funcs in ALLOWED.items() for func in funcs}
