@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,7 +49,8 @@ def _write_json(path, doc) -> None:
 
 
 class _Run:
-    """Collects output paths and tolerances, then writes the manifest."""
+    """Collects output paths, tolerances and run diagnostics, then writes
+    the manifest."""
 
     def __init__(self, args):
         self.args = args
@@ -60,6 +62,7 @@ class _Run:
                 os.remove(os.path.join(self.out_dir, name))
         self.outputs = []
         self.tolerances = {}
+        self.diagnostics = {}
         self.t0 = time.monotonic()
 
     def path(self, name):
@@ -83,6 +86,7 @@ class _Run:
             "seed": self.args.seed,
             "tolerances": self.tolerances,
             "outputs": self.outputs,
+            "diagnostics": self.diagnostics,
             "wall_time": time.monotonic() - self.t0,
         }
         path = os.path.join(self.out_dir, "manifest.json")
@@ -157,6 +161,7 @@ def _cmd_group(run, args):
                                    "displacement"], rows)
         run.json("group_ball.json", {"group": G.name, "radius": args.radius,
                                      "count": len(ball)})
+        run.diagnostics["enumeration"] = dataclasses.asdict(ball.stats)
     elif args.action == "injrad":
         val = fuchsian.injectivity_radius(G, G.base_point, args.rcap)
         run.json("injrad.json", {"group": G.name, "R_cap": args.rcap,
@@ -345,6 +350,8 @@ def _cmd_qe(run, args):
     E = trace.load_eigendata(args.eigen)
     with open(args.observable) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("observable JSON must be an object")
     if "values" not in doc:
         raise ValueError("observable JSON has no field 'values'")
     a_vals = np.asarray(doc["values"], dtype=float)

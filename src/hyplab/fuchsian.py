@@ -2,12 +2,17 @@
 words, Dirichlet-domain membership, injectivity radius, systole and
 thin-part statistics.
 
-Enumeration is breadth-first over reduced words with displacement
-pruning: a branch is abandoned once its prefix moves the base point
-further than ``R + 2 * (max generator displacement)``.  Duplicate
-elements are detected by canonical-form matrix comparison at 1e-9; this
-can mislabel nearly-parabolic inputs, which do not occur for the
-cocompact groups targeted here.
+Enumeration is breadth-first over reduced words, one word length (level)
+at a time, on (N, 4) arrays of matrix entries.  Each level multiplies
+every frontier element by every generator that does not cancel its last
+letter, renormalizes the products with ``geom._canonical_batch`` and
+prunes a product once it moves the base point further than
+``R + 2 * (max generator displacement)``.  A surviving product is a
+duplicate, and is dropped, when it lies within ``_DEDUP_TOL`` in every
+entry of an element kept at a shorter length or of an earlier product of
+its level in (prefix, generator) order.  This can mislabel
+nearly-parabolic inputs, which do not occur for the cocompact groups
+targeted here.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import EnumerationTruncated
-from .geom import (Point, MobiusElement, mobius_apply, hyp_dist, _dist_c,
+from .geom import (Point, MobiusElement, _canonical_batch, _dist_c,
                    _mobius_batch, ball_volume, sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
@@ -53,6 +58,20 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
+class EnumerationStats:
+    """Work done by one ball enumeration.  Every candidate (a reduced
+    word one letter longer than a kept element) is pruned, dropped as a
+    duplicate or kept; kept elements form the next frontier."""
+
+    levels: int
+    candidates: int
+    pruned: int
+    duplicates: int
+    frontier_peak: int
+    kept: int
+
+
+@dataclass(frozen=True)
 class GroupBall:
     """Nontrivial group elements displacing the center by at most
     ``radius``, together with the words that produced them (indices into
@@ -63,6 +82,7 @@ class GroupBall:
     radius: float
     center: Point
     truncated: bool = False
+    stats: EnumerationStats | None = field(default=None, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -73,9 +93,7 @@ class GroupBall:
     def displacements(self) -> np.ndarray:
         if not self.elements:
             return np.array([])
-        zc = self.center.as_complex
-        gz = _mobius_batch(self.matrices(), [zc])[:, 0]
-        return _dist_c(gz, np.full(gz.shape, zc))
+        return _displacement(self.matrices(), self.center.as_complex)
 
 
 def load_group(path) -> GroupSpec:
@@ -87,6 +105,8 @@ def load_group(path) -> GroupSpec:
 
 
 def _group_from_dict(doc) -> GroupSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("group JSON must be an object")
     try:
         gens = tuple(MobiusElement(row[0][0], row[0][1], row[1][0], row[1][1])
                      for row in doc["generators"])
@@ -127,65 +147,108 @@ def _doubled_generators(G: GroupSpec):
     return gens, inv_index
 
 
-class _Dedup:
-    """Approximate set of PSL(2,R) matrices, keyed by rounded entries."""
+# Prefixes multiplied out at once; bounds the (block * 2n, 4) temporaries.
+_BLOCK = 4096
 
-    def __init__(self, tol=_DEDUP_TOL):
-        self.tol = tol
-        self.scale = 1.0 / (10.0 * tol)
-        self.cells = {}
 
-    def add(self, g: MobiusElement) -> bool:
-        """Insert g; returns False if an equal element was present."""
-        base = tuple(int(math.floor(e * self.scale)) for e in g.entries)
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    for dd in (-1, 0, 1):
-                        key = (base[0] + da, base[1] + db,
-                               base[2] + dc, base[3] + dd)
-                        for other in self.cells.get(key, ()):
-                            if g.approx_eq(other, self.tol):
-                                return False
-        self.cells.setdefault(base, []).append(g)
-        return True
+def _products(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Row-wise 2x2 products P[i] @ Q[i] of (N, 4) entry arrays, with
+    the same operations as MobiusElement.__matmul__."""
+    a, b, c, d = P.T
+    e, f, g, h = Q.T
+    return np.stack([a * e + b * g, a * f + b * h,
+                     c * e + d * g, c * f + d * h], axis=1)
+
+
+def _displacement(mats: np.ndarray, zc: complex) -> np.ndarray:
+    """d(z, gamma z) for every row of mats."""
+    gz = _mobius_batch(mats, [zc])[:, 0]
+    return _dist_c(gz, np.full(gz.shape, zc))
+
+
+def _near_pairs(ref: np.ndarray, qry: np.ndarray) -> tuple:
+    """Index pairs (i, j) with qry[i] within _DEDUP_TOL of ref[j] in
+    every entry; ref must be sorted on its first column."""
+    lo = np.searchsorted(ref[:, 0], qry[:, 0] - _DEDUP_TOL, "left")
+    hi = np.searchsorted(ref[:, 0], qry[:, 0] + _DEDUP_TOL, "right")
+    i = np.nonzero(lo < hi)[0]
+    qi, rj = [i[:0]], [i[:0]]
+    while len(i):  # step every open window [lo, hi) by one row
+        j = lo[i]
+        close = (np.abs(ref[j] - qry[i]) <= _DEDUP_TOL).all(axis=1)
+        qi.append(i[close])
+        rj.append(j[close])
+        lo[i] += 1
+        i = i[lo[i] < hi[i]]
+    return np.concatenate(qi), np.concatenate(rj)
 
 
 @functools.lru_cache(maxsize=256)
 def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
     gens, inv_index = _doubled_generators(G)
-    delta_max = max(hyp_dist(z, mobius_apply(g, z)) for g in gens)
-    threshold = R + 2.0 * delta_max
+    gmat = np.array([g.entries for g in gens])
+    inv_index = np.array(inv_index)
+    zc = z.as_complex
+    threshold = R + 2.0 * float(_displacement(gmat, zc).max())
 
-    dedup = _Dedup()
-    dedup.add(MobiusElement.identity())
-    elements = []
-    frontier = [(MobiusElement.identity(), ())]
-    truncated = False
+    frontier = np.array([MobiusElement.identity().entries])
+    last = np.array([-1])  # last letter of each frontier word
+    seen = frontier  # every kept element, sorted on entry a
+    # per level: parent index and letter of each kept element, and the
+    # kept elements inside the ball with their entries
+    parents, letters, inside = [], [], []
+    candidates = duplicates = kept = peak = 0
     for _depth in range(G.max_word_length):
-        new_frontier = []
-        for prefix, word in frontier:
-            for k, g in enumerate(gens):
-                if word and inv_index[word[-1]] == k:
-                    continue  # reduced words only
-                cand = prefix @ g
-                disp = hyp_dist(z, mobius_apply(cand, z))
-                if disp > threshold:
-                    continue  # cheap prune before the dedup lookup
-                if not dedup.add(cand):
-                    continue
-                cand_word = word + (k,)
-                if disp <= R + 1e-9:
-                    elements.append((cand, cand_word))
-                new_frontier.append((cand, cand_word))
-        frontier = new_frontier
-        if not frontier:
+        blocks = []
+        for lo in range(0, len(frontier), _BLOCK):
+            # reduced words only: skip the inverse of the last letter
+            ii, kk = np.nonzero(last[lo:lo + _BLOCK, None] != inv_index)
+            ii += lo
+            cand = _canonical_batch(_products(frontier[ii], gmat[kk]))
+            ok = _displacement(cand, zc) <= threshold  # prune before dedup
+            candidates += len(ok)
+            blocks.append((cand[ok], ii[ok], kk[ok]))
+        mats, par, let = map(np.concatenate, zip(*blocks))
+        # Drop matches of earlier levels and of earlier products of this
+        # level.  Unlike one-at-a-time insertion, this also drops a product
+        # matching only an earlier dropped product; distinct elements lie
+        # far apart, so such chains do not arise.
+        order = np.argsort(mats[:, 0], kind="stable")
+        srt = mats[order]
+        dup = np.zeros(len(mats), dtype=bool)
+        dup[order[_near_pairs(seen, srt)[0]]] = True
+        i, j = _near_pairs(srt, srt)
+        later = order[i] > order[j]
+        dup[order[i[later]]] = True
+        duplicates += int(dup.sum())
+        new = ~dup
+        frontier, last = mats[new], let[new]
+        parents.append(par[new])
+        letters.append(last)
+        ins = np.nonzero(_displacement(frontier, zc) <= R + 1e-9)[0]
+        inside.append((ins, frontier[ins]))
+        kept += len(frontier)
+        peak = max(peak, len(frontier))
+        # timsort merges the two sorted runs in linear time
+        seen = np.concatenate([seen, frontier])
+        seen = seen[np.argsort(seen[:, 0], kind="stable")]
+        if not len(frontier):
             break
-    else:
-        truncated = bool(frontier)
 
+    elements = []
+    for level, (idx, ents) in enumerate(inside):
+        words = np.empty((len(idx), level + 1), dtype=int)
+        for pos in range(level, -1, -1):
+            words[:, pos] = letters[pos][idx]
+            idx = parents[pos][idx]
+        elements += [(MobiusElement._raw(*e), tuple(w))
+                     for e, w in zip(ents.tolist(), words.tolist())]
+    stats = EnumerationStats(
+        levels=len(parents), candidates=candidates,
+        pruned=candidates - duplicates - kept, duplicates=duplicates,
+        frontier_peak=peak, kept=kept)
     return GroupBall(elements=tuple(elements), radius=R, center=z,
-                     truncated=truncated)
+                     truncated=bool(len(frontier)), stats=stats)
 
 
 def group_ball(G: GroupSpec, z: Point, R: float) -> GroupBall:

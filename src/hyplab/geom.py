@@ -89,8 +89,9 @@ class MobiusElement:
 
     @classmethod
     def _raw(cls, a, b, c, d):
-        # Bypass the canonical-sign normalization: rotations are stored with
-        # their natural sign so that frame angles compose correctly.
+        # Bypass the normalization: rotations are stored with their natural
+        # sign so that frame angles compose correctly, and entries already
+        # made canonical by _canonical_batch keep their bits.
         self = object.__new__(cls)
         for name, value in zip("abcd", (a, b, c, d)):
             object.__setattr__(self, name, value)
@@ -140,6 +141,23 @@ def _mobius_batch(mats: np.ndarray, zc) -> np.ndarray:
     a, b, c, d = (mats[:, k][:, None] for k in range(4))
     z = np.asarray(zc)[None, :]
     return (a * z + b) / (c * z + d)
+
+
+def _canonical_batch(mats: np.ndarray) -> np.ndarray:
+    """Rows (a, b, c, d) renormalized to determinant one with the
+    canonical sign: the same operations as MobiusElement's constructor,
+    so each row equals the entries of MobiusElement(a, b, c, d) bit for
+    bit.  Returns a new (N, 4) array."""
+    a, b, c, d = mats.T
+    det = a * d - b * c
+    if np.any(det <= 0.0):
+        raise ValueError("determinant must be positive")
+    out = mats * (1.0 / np.sqrt(det))[:, None]
+    # after scaling det = 1, so every row has an entry above 1e-12
+    first = (np.abs(out) > 1e-12).argmax(axis=1)
+    flip = out[np.arange(len(out)), first] < 0.0
+    out[flip] = -out[flip]
+    return out
 
 
 def hyp_dist(z: Point, w: Point) -> float:

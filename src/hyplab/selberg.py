@@ -336,7 +336,10 @@ def heat_multiplier(t: float) -> SpectralFunction:
     return SpectralFunction(eval=lambda s: math.exp(-t * (0.25 + s * s)))
 
 
+# t -> (spline, rho_max); insertion-ordered, so the oldest entry is
+# evicted first once _HEAT_CACHE_SIZE profiles are held
 _heat_cache: dict = {}
+_HEAT_CACHE_SIZE = 32
 
 
 def _heat_profile(t: float):
@@ -353,6 +356,8 @@ def _heat_profile(t: float):
     grid = np.linspace(0.0, rho_max, 3001)
     vals = kern.eval(grid)
     spline = CubicSpline(grid, vals)
+    if len(_heat_cache) >= _HEAT_CACHE_SIZE:
+        del _heat_cache[next(iter(_heat_cache))]
     _heat_cache[key] = (spline, rho_max)
     return _heat_cache[key]
 

@@ -66,6 +66,8 @@ class EigenData:
 def load_eigendata(path) -> EigenData:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("eigen-data JSON must be an object")
     try:
         mesh = doc.get("mesh")
         kw = {}

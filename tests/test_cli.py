@@ -119,6 +119,28 @@ def test_missing_input_field_is_a_clean_error(tmp_path):
         assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("loader", ["eigen-data", "observable", "group"])
+def test_top_level_list_is_a_clean_error(tmp_path, loader):
+    from hyplab.synthetic import flat_mesh_eigendata
+    from hyplab.trace import save_eigendata
+
+    eig = tmp_path / "eig.json"
+    save_eigendata(flat_mesh_eigendata(20, 5, seed=3), eig)
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"values": [1.0] * 20}))
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1.0, 2.0]))
+    argv = {"eigen-data": ["qe", "--eigen", str(bad), "--observable", str(obs)],
+            "observable": ["qe", "--eigen", str(eig), "--observable", str(bad)],
+            "group": ["group", "ball", "--group", str(bad)]}[loader]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "ValueError",
+                   "message": f"{loader} JSON must be an object"}
+    assert not (out / "manifest.json").exists()
+
+
 def test_spectral_action_writes_the_time_average_table(tmp_path):
     out = tmp_path / "o"
     assert run(["spectral-action", "--interval", "1,2", "--T", "20",

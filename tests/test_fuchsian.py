@@ -1,16 +1,22 @@
 """Fuchsian group enumeration: exact ball contents, displacement
 invariants, Dirichlet domains and coarse geometric invariants."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hyplab.cli import run
+from hyplab.errors import EnumerationTruncated
 from hyplab.geom import Point, MobiusElement, mobius_apply, hyp_dist
 from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
                              save_group, group_ball, injectivity_radius,
                              dirichlet_mask, systole, thin_part_fraction,
-                             domain_volume, min_displacement_batch)
+                             domain_volume, min_displacement_batch,
+                             _doubled_generators, _DEDUP_TOL)
 from hyplab.trace import lattice_count_bound
 
 # the octagon surface: systole = 2 acosh(1 + sqrt 2)
@@ -72,6 +78,66 @@ def test_octagon_ball_counts(bolza_group):
     assert len(b4) == 8
     assert np.allclose(b4.displacements(), OCT_SYSTOLE, atol=1e-9)
     assert len(group_ball(G, z, 6.0)) == 96
+
+
+# SHA-256 of group_ball.csv as written by the one-word-at-a-time
+# enumerator that the batched level search replaced
+BALL_CSV_SHA256 = {
+    ("bolza", "4"):
+        "51e389cff771fc795d77aff458189c68cfdbd3f9ead9231741d2c642b1d1cdfa",
+    ("bolza", "6"):
+        "ad98e3ee36eef7a9e031e65ab7f050f07b6ab3738217a6a34bffbd785118a67b",
+    ("bolza", "7"):
+        "4811333711d54edec0055ea0facd4e427c3f1ac2ec5fa3de9b0c730b55e76bdc",
+    ("cyclic_L2", "9"):
+        "f5c2f3f3e8fd9c4cf547af8bd005c1214df74c09d0813a627ec6e85c0d3ade54",
+}
+
+
+@pytest.mark.parametrize("group,radius", sorted(BALL_CSV_SHA256))
+def test_ball_csv_is_byte_identical_to_the_word_enumerator(tmp_path, group,
+                                                           radius):
+    out = tmp_path / "o"
+    assert run(["group", "ball", "--group", group, "--radius", radius,
+                "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "group_ball.csv").read_bytes())
+    assert digest.hexdigest() == BALL_CSV_SHA256[group, radius]
+    # enumeration statistics go to the manifest only
+    doc = json.loads((out / "group_ball.json").read_text())
+    assert set(doc) == {"group", "radius", "count"}
+    stats = json.loads((out / "manifest.json").read_text())[
+        "diagnostics"]["enumeration"]
+    assert stats["candidates"] == (stats["pruned"] + stats["duplicates"]
+                                   + stats["kept"])
+    assert doc["count"] <= stats["kept"] and stats["levels"] >= 1
+
+
+def test_ball_words_multiply_to_their_elements(bolza_group):
+    gens, _ = _doubled_generators(bolza_group)
+    ball = group_ball(bolza_group, bolza_group.base_point, 7.0)
+    for g, word in ball.elements:
+        prod = MobiusElement.identity()
+        for k in word:
+            prod = prod @ gens[k]
+        assert prod.approx_eq(g, tol=1e-9)
+
+
+def test_ball_elements_are_distinct(bolza_group):
+    m = group_ball(bolza_group, bolza_group.base_point, 7.0).matrices()
+    gap = np.abs(m[:, None, :] - m[None, :, :]).max(axis=2)
+    np.fill_diagonal(gap, np.inf)
+    assert gap.min() > _DEDUP_TOL
+
+
+def test_truncated_ball_is_part_of_the_full_ball(bolza_group):
+    G = bolza_group
+    short = dataclasses.replace(G, max_word_length=3)
+    with pytest.raises(EnumerationTruncated) as info:
+        group_ball(short, G.base_point, 6.0)
+    partial = info.value.partial
+    assert partial.truncated and 0 < len(partial) < 96
+    assert set(partial.elements) <= set(group_ball(G, G.base_point,
+                                                   6.0).elements)
 
 
 def test_cached_ball_cannot_be_changed(bolza_group):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hyplab.geom import (Point, UnitTangent, MobiusElement, mobius_apply,
                          hyp_dist, ball_volume, geodesic_flow, polar_from,
                          polar_to, sample_ball, sample_ball_complex,
-                         _mobius_batch)
+                         _mobius_batch, _canonical_batch)
 
 # bounded coordinate ranges keep cosh arguments well inside double range
 coords = st.floats(-5.0, 5.0)
@@ -75,6 +75,28 @@ def test_mobius_batch_is_the_scalar_action(gs, zs):
     # elementwise on the same NumPy scalars, so the same complex division
     expected = np.array([[g.apply_complex(z) for z in zc] for g in gs])
     assert np.array_equal(_mobius_batch(mats, zc), expected)
+
+
+@given(st.lists(st.tuples(mobius_elements(), st.floats(0.1, 10.0),
+                          st.sampled_from([1.0, -1.0])),
+                min_size=1, max_size=6))
+def test_canonical_batch_is_the_constructor(rows):
+    # scaled, sign-flipped copies of unit-determinant matrices, plus rows
+    # whose leading entries are at or below the 1e-12 sign cutoff
+    raw = [tuple(lam * sign * e for e in g.entries) for g, lam, sign in rows]
+    raw += [(0.0, -2.0, 0.5, 3.0), (-1e-13, -1.0, 1.0, 0.5),
+            (1e-12, -1.0, 1.0, -0.0), (-0.0, 1.0, -1.0, 0.0)]
+    got = _canonical_batch(np.array(raw))
+    expected = np.array([MobiusElement(*r).entries for r in raw])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_canonical_batch_rejects_what_the_constructor_rejects():
+    for row in [(1.0, 2.0, 2.0, 1.0), (0.0, 0.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            MobiusElement(*row)
+        with pytest.raises(ValueError):
+            _canonical_batch(np.array([(1.0, 0.0, 0.0, 1.0), row]))
 
 
 @given(mobius_elements(), points(), points())

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from hyplab.errors import BandTooSmall, OdeFailure
+from hyplab import selberg
 from hyplab.selberg import (RadialKernel, abel_transform, selberg_forward,
                             selberg_inverse, disc_kernel, heat_multiplier,
                             heat_kernel, heat_kernel_mass,
@@ -100,6 +101,19 @@ def test_heat_kernel_frozen_values():
                                                   abs=1e-8)
     assert heat_kernel(0.5, 1.0) == pytest.approx(0.07572675264373613,
                                                   abs=1e-8)
+
+
+def test_heat_cache_eviction_keeps_profiles(monkeypatch):
+    monkeypatch.setattr(selberg, "_heat_cache", {})
+    monkeypatch.setattr(selberg, "_HEAT_CACHE_SIZE", 2)
+    rho = np.linspace(0.0, 3.0, 31)
+    first = selberg._heat_profile(0.7)[0](rho)
+    for t in (0.8, 0.9):
+        selberg._heat_profile(t)
+    assert list(selberg._heat_cache) == [0.8, 0.9]  # oldest went first
+    again = selberg._heat_profile(0.7)[0](rho)
+    assert list(selberg._heat_cache) == [0.9, 0.7]
+    assert np.array_equal(first, again)
 
 
 def test_heat_kernel_mass_and_positivity():

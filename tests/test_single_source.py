@@ -1,8 +1,11 @@
 """Each numerical building block lives in one place in the package:
-Gauss-Legendre nodes come only from ``selberg._gauss_legendre``, and the
+Gauss-Legendre nodes come only from ``selberg._gauss_legendre``, the
 batched Mobius action (a*z + b)/(c*z + d) is written only in
 ``geom._mobius_batch`` (besides the scalar
-``MobiusElement.apply_complex``)."""
+``MobiusElement.apply_complex``), and the determinant a*d - b*c and the
+canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
+written only in ``geom._canonical_batch`` (besides the scalar
+``MobiusElement.__post_init__``)."""
 
 import ast
 import pathlib
@@ -12,7 +15,9 @@ import hyplab
 SRC = pathlib.Path(hyplab.__file__).parent
 NODE_SOURCES = {"roots_legendre", "leggauss"}
 ALLOWED = {"nodes": {"_gauss_legendre"},
-           "mobius": {"_mobius_batch", "apply_complex"}}
+           "mobius": {"_mobius_batch", "apply_complex"},
+           "det": {"_canonical_batch", "__post_init__"},
+           "sign": {"_canonical_batch", "__post_init__"}}
 
 
 def _walk(node, func=None):
@@ -31,6 +36,25 @@ def _is_affine(node):
             and isinstance(node.left.op, ast.Mult))
 
 
+def _is_product(node):
+    """x * y with both factors plain names, attributes or subscripts."""
+    plain = (ast.Name, ast.Attribute, ast.Subscript)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, plain)
+            and isinstance(node.right, plain))
+
+
+def _is_sign_cutoff(node):
+    """abs(x) > 1e-12, with the builtin or NumPy's abs."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], ast.Gt)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id",
+                        getattr(node.left.func, "attr", None)) == "abs"
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 1e-12)
+
+
 def _sites():
     for path in sorted(SRC.glob("*.py")):
         for node, func in _walk(ast.parse(path.read_text())):
@@ -41,6 +65,11 @@ def _sites():
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                     and _is_affine(node.left) and _is_affine(node.right)):
                 yield "mobius", path.name, node.lineno, func
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and _is_product(node.left) and _is_product(node.right)):
+                yield "det", path.name, node.lineno, func
+            if _is_sign_cutoff(node):
+                yield "sign", path.name, node.lineno, func
 
 
 def test_one_node_source_and_one_batched_mobius_action():
