@@ -240,9 +240,23 @@ def _disc_chart_inv(z0, w):
 
 
 def _polar_batch(z0: Point, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized polar_from; returns complex coordinates."""
-    w = np.tanh(0.5 * r) * np.exp(1j * theta)
-    return _disc_chart_inv(z0.as_complex, w)
+    """Vectorized polar_from; returns complex coordinates.
+
+    The disc-chart point w = m e^{i theta}, m = tanh(r/2), maps back to
+    z0.x + z0.y * i(1 + w)/(1 - w), written out in real arithmetic.  The
+    direction enters through tau = tan(theta/2), which NumPy evaluates
+    several times faster than cos and sin.
+    """
+    m = np.tanh(0.5 * r)
+    tau = np.tan(0.5 * theta)
+    tau2 = tau * tau
+    a = m * (1.0 - tau2) / (1.0 + tau2)  # Re w = m cos(theta)
+    b = 2.0 * m * tau / (1.0 + tau2)  # Im w = m sin(theta)
+    q = (1.0 - a) ** 2 + b * b  # |1 - w|^2
+    out = np.empty(np.shape(q), dtype=complex)
+    out.real = z0.x - 2.0 * z0.y * b / q
+    out.imag = z0.y * (1.0 - m) * (1.0 + m) / q
+    return out
 
 
 def sample_ball(z0: Point, r: float, n: int, seed: int) -> list:
@@ -255,6 +269,9 @@ def sample_ball(z0: Point, r: float, n: int, seed: int) -> list:
     return [Point(float(z.real), float(z.imag)) for z in zc]
 
 
+_SAMPLE_BLOCK = 1 << 16
+
+
 def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
     """Vectorized form of sample_ball, returning a complex array."""
     if r <= 0.0:
@@ -263,6 +280,11 @@ def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    theta = TWO_PI * rng.random(n)
-    rho = np.arccosh(1.0 + u * (math.cosh(r) - 1.0))
-    return _polar_batch(z0, theta, rho)
+    theta = rng.random(n)
+    out = np.empty(n, dtype=complex)
+    # blocks keep the temporaries small enough to be reused, not faulted in
+    for j in range(0, n, _SAMPLE_BLOCK):
+        blk = slice(j, j + _SAMPLE_BLOCK)
+        rho = np.arccosh(1.0 + u[blk] * (math.cosh(r) - 1.0))
+        out[blk] = _polar_batch(z0, TWO_PI * theta[blk], rho)
+    return out

@@ -103,13 +103,19 @@ def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
     return est, err, acc, vol * acc
 
 
+_EVAL_BLOCK = 1 << 16
+
+
 def apply_Pt(u: Observable, z: Point, t: float, n: int,
              seed: int) -> MCEstimate:
     """P_t u(z) by Monte Carlo over the ball B(z, t)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     pts = sample_ball_complex(z, t, n, seed)
-    vals = np.asarray(u.eval(pts), dtype=float)
+    vals = np.empty(n)
+    # blocks keep the observable's temporaries small enough to be reused
+    for j in range(0, n, _EVAL_BLOCK):
+        vals[j:j + _EVAL_BLOCK] = u.eval(pts[j:j + _EVAL_BLOCK])
     scale = ball_volume(t) / math.sqrt(math.cosh(t))
     return MCEstimate(value=scale * float(vals.mean()),
                       error=scale * float(vals.std(ddof=1)) / math.sqrt(n))

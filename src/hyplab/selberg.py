@@ -72,7 +72,20 @@ class SphericalOracle:
     _spline: CubicSpline = field(repr=False, default=None)
 
     def __call__(self, r):
-        return self._spline(r)
+        # Past the first node the knots are the uniform ODE output grid,
+        # so the interval index comes from arithmetic, not a binary
+        # search; one step against the knots themselves then gives
+        # CubicSpline's rule x[i] <= r < x[i+1], and the polynomial is
+        # summed in CubicSpline's order, so the values agree bit for bit.
+        r = np.asarray(r, dtype=float)
+        x, c = self._spline.x, self._spline.c
+        last = len(x) - 2
+        k = np.floor((r - x[1]) * (last / (x[-1] - x[1])))
+        i = np.fmin(np.fmax(k, -1.0), last - 1.0).astype(np.intp) + 1
+        i -= (r < x[i]) & (i > 0)
+        i += (r >= x[i + 1]) & (i < last)
+        s = r - x[i]
+        return c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
 
 
 def _quad(fn, a, b, budget_abs=1e-11, **kw):

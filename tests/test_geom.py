@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hyplab.geom import (Point, UnitTangent, MobiusElement, mobius_apply,
                          hyp_dist, ball_volume, geodesic_flow, polar_from,
                          polar_to, sample_ball, sample_ball_complex,
-                         _mobius_batch, _canonical_batch)
+                         _mobius_batch, _canonical_batch, _polar_batch,
+                         _SAMPLE_BLOCK, TWO_PI)
 
 # bounded coordinate ranges keep cosh arguments well inside double range
 coords = st.floats(-5.0, 5.0)
@@ -144,6 +145,13 @@ def test_polar_distance(z0, theta, r):
         pytest.approx(r, abs=1e-8)
 
 
+@given(points(), angles, radii)
+def test_polar_batch_is_polar_from(z0, theta, r):
+    z = polar_from(z0, theta, r).as_complex
+    zb = _polar_batch(z0, np.array([theta]), np.array([r]))[0]
+    assert abs(zb - z) <= 1e-9 * abs(z)
+
+
 @given(points(), angles, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_geodesic_flow_additivity(z0, theta, t1, t2):
     v = UnitTangent(Point(z0.x, z0.y), theta)
@@ -161,6 +169,18 @@ def test_sample_ball_reproducible_and_in_ball():
     assert np.array_equal(a, b)
     pts = sample_ball(z0, 2.0, 200, seed=4)
     assert all(hyp_dist(z0, p) <= 2.0 + 1e-9 for p in pts)
+
+
+def test_sample_ball_blocks_are_one_batch():
+    """Blocking is invisible: the points equal one _polar_batch call on
+    the whole draw, across a ragged last block."""
+    z0, R, n = Point(-0.4, 0.7), 3.0, 2 * _SAMPLE_BLOCK + 5
+    rng = np.random.default_rng(21)
+    u = rng.random(n)
+    theta = TWO_PI * rng.random(n)
+    rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
+    assert np.array_equal(sample_ball_complex(z0, R, n, seed=21),
+                          _polar_batch(z0, theta, rho))
 
 
 def test_sample_ball_radial_law():

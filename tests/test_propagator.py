@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from hyplab.geom import Point, ball_volume, polar_from
+from hyplab.geom import Point, ball_volume, polar_from, sample_ball_complex
 from hyplab.propagator import (Observable, const_observable, lens_halfwidth,
-                               apply_Pt, kernel_PtaPt, intersection_volume,
+                               apply_Pt, _EVAL_BLOCK, kernel_PtaPt, intersection_volume,
                                pythagoras_check, midpoint_change_of_var_check,
                                ergodic_average_decay)
 
@@ -51,6 +51,17 @@ def test_apply_pt_linearity_shared_seed():
     b = apply_Pt(v, z, 1.0, 5000, seed=7).value
     c = apply_Pt(uv, z, 1.0, 5000, seed=7).value
     assert c == pytest.approx(2.0 * a - 3.0 * b, rel=1e-10)
+
+
+def test_apply_pt_blocks_are_one_evaluation():
+    """Evaluating the observable block by block changes no value."""
+    z, t, n = Point(0.1, 0.8), 2.0, 2 * _EVAL_BLOCK + 7
+    u = Observable(eval=lambda p: np.cos(p.real) / p.imag, sup_bound=1e3)
+    vals = u.eval(sample_ball_complex(z, t, n, 3))
+    scale = ball_volume(t) / math.sqrt(math.cosh(t))
+    est = apply_Pt(u, z, t, n, seed=3)
+    assert est.value == scale * float(vals.mean())
+    assert est.error == scale * float(vals.std(ddof=1)) / math.sqrt(n)
 
 
 def test_kernel_vanishes_beyond_support():

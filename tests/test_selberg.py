@@ -157,6 +157,20 @@ def test_spherical_oracle_eigen_identity():
         assert val == pytest.approx(h_t_closed(t, s), rel=1e-8, abs=1e-10)
 
 
+def test_spherical_oracle_is_its_cubic_spline():
+    """The arithmetic interval lookup reproduces CubicSpline bit for bit,
+    at the knots, one ulp either side of them, outside the table and
+    at non-finite points."""
+    phi = spherical_oracle(1.5, 9.0)
+    knots = phi._spline.x
+    r = np.concatenate([
+        np.random.default_rng(5).uniform(-1.0, 10.0, 50_000), knots,
+        np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [0.0, -0.0, 1e-300, np.nan]])
+    assert np.array_equal(phi(r), phi._spline(r), equal_nan=True)
+    assert phi(0.7) == phi._spline(0.7)
+
+
 def test_spherical_oracle_range_validation():
     with pytest.raises(ValueError):
         spherical_oracle(1.0, 20.0)
