@@ -1,5 +1,5 @@
 """Finitely generated cocompact Fuchsian groups: ball enumeration over
-words, Dirichlet-domain membership, injectivity radius, systole and
+words, reduction to the Dirichlet domain, injectivity radius, systole and
 thin-part statistics.
 
 Enumeration is breadth-first over reduced words, one word length (level)
@@ -13,6 +13,13 @@ entry of an element kept at a shorter length or of an earlier product of
 its level in (prefix, generator) order.  This can mislabel
 nearly-parabolic inputs, which do not occur for the cocompact groups
 targeted here.
+
+Reduction (``reduce_to_domain``) moves z to the gamma z nearest the base
+point z0, searching only gamma with d(z0, gamma z0) <= 2 d(z0, z).  Proof:
+a minimizer, and likewise any gamma violating the strict Dirichlet
+inequality d(z0, z) < d(z0, gamma z), has d(z0, gamma z) <= d(z0, z), so
+d(z0, gamma z0) <= d(z0, gamma z) + d(gamma z, gamma z0) <= 2 d(z0, z).
+No covering assumption enters: it holds for unbounded domains too.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import EnumerationTruncated
-from .geom import (Point, MobiusElement, _canonical_batch, _dist_c,
-                   _mobius_batch, ball_volume, sample_ball_complex)
+from .geom import (Point, MobiusElement, _SAMPLE_BLOCK, _canonical_batch,
+                   _dist_c, _mobius_batch, ball_volume, sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
 # floating-point error (~1e-9 for entries of size e^{R/2} at word length
@@ -91,9 +98,7 @@ class GroupBall:
         return np.array([g.entries for g, _ in self.elements]).reshape(-1, 4)
 
     def displacements(self) -> np.ndarray:
-        if not self.elements:
-            return np.array([])
-        return _displacement(self.matrices(), self.center.as_complex)
+        return _displacement(self.matrices(), [self.center.as_complex])[:, 0]
 
 
 def load_group(path) -> GroupSpec:
@@ -160,10 +165,12 @@ def _products(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
                      c * e + d * g, c * f + d * h], axis=1)
 
 
-def _displacement(mats: np.ndarray, zc: complex) -> np.ndarray:
-    """d(z, gamma z) for every row of mats."""
-    gz = _mobius_batch(mats, [zc])[:, 0]
-    return _dist_c(gz, np.full(gz.shape, zc))
+def _displacement(mats: np.ndarray, zc) -> np.ndarray:
+    """d(z, gamma z) for every row gamma of mats and every complex point
+    z of zc: an (N, M) array for N matrices and M points."""
+    zc = np.asarray(zc)
+    gz = _mobius_batch(mats, zc)
+    return _dist_c(gz, np.broadcast_to(zc, gz.shape))
 
 
 def _near_pairs(ref: np.ndarray, qry: np.ndarray) -> tuple:
@@ -188,7 +195,7 @@ def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
     gens, inv_index = _doubled_generators(G)
     gmat = np.array([g.entries for g in gens])
     inv_index = np.array(inv_index)
-    zc = z.as_complex
+    zc = [z.as_complex]
     threshold = R + 2.0 * float(_displacement(gmat, zc).max())
 
     frontier = np.array([MobiusElement.identity().entries])
@@ -205,7 +212,7 @@ def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
             ii, kk = np.nonzero(last[lo:lo + _BLOCK, None] != inv_index)
             ii += lo
             cand = _canonical_batch(_products(frontier[ii], gmat[kk]))
-            ok = _displacement(cand, zc) <= threshold  # prune before dedup
+            ok = _displacement(cand, zc)[:, 0] <= threshold  # prune first
             candidates += len(ok)
             blocks.append((cand[ok], ii[ok], kk[ok]))
         mats, par, let = map(np.concatenate, zip(*blocks))
@@ -225,7 +232,7 @@ def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
         frontier, last = mats[new], let[new]
         parents.append(par[new])
         letters.append(last)
-        ins = np.nonzero(_displacement(frontier, zc) <= R + 1e-9)[0]
+        ins = np.nonzero(_displacement(frontier, zc)[:, 0] <= R + 1e-9)[0]
         inside.append((ins, frontier[ins]))
         kept += len(frontier)
         peak = max(peak, len(frontier))
@@ -271,12 +278,8 @@ def group_ball(G: GroupSpec, z: Point, R: float) -> GroupBall:
 
 def min_displacement_batch(ball: GroupBall, zc: np.ndarray) -> np.ndarray:
     """Minimum over ball elements of d(z, gamma z) for an array of
-    complex points; used by the thin-part and systole estimators."""
-    zc = np.asarray(zc)
-    if not ball.elements:
-        return np.full(zc.shape, np.inf)
-    gz = _mobius_batch(ball.matrices(), zc)
-    return _dist_c(gz, np.broadcast_to(zc[None, :], gz.shape)).min(axis=0)
+    complex points; used by the thin-part estimator."""
+    return _displacement(ball.matrices(), zc).min(axis=0, initial=np.inf)
 
 
 def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
@@ -291,58 +294,67 @@ def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
     return 0.5 * float(ball.displacements().min())
 
 
-def _membership_ball(G: GroupSpec, dz: float) -> GroupBall:
-    """Cached group ball at the base point, large enough to decide
-    Dirichlet membership for points within distance dz of it."""
-    need = 2.0 * max(dz, G.domain_radius) + 1e-6
-    # quantize so repeated queries share one enumeration
-    R = 0.5 * math.ceil(2.0 * need)
-    return group_ball(G, G.base_point, R)
+def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
+    """Move each complex point z into the closed Dirichlet domain at the
+    base point z0 by the gamma in {id} and the ball of radius
+    2 max d(z0, z) minimizing d(z0, gamma z), the first on ties (the
+    module docstring proves the radius suffices).  Returns (gamma z, the
+    same gamma applied to ``companion`` or None, mask of the z in the
+    open domain: d(z0, z) < d(z0, gamma z) for every gamma != id)."""
+    zc = np.asarray(zc)
+    z0c = G.base_point.as_complex
+    dz = _dist_c(np.full(zc.shape, z0c), zc)
+    # quantize the radius (1e-6 margin for rounding) so that repeated
+    # queries share one cached enumeration
+    need = 2.0 * float(dz.max(initial=0.0)) + 1e-6
+    ball = group_ball(G, G.base_point, 0.5 * math.ceil(2.0 * need))
+    mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
+    moved = np.empty_like(zc)
+    moved_comp = None if companion is None else np.empty_like(companion)
+    mask = np.empty(zc.shape, dtype=bool)
+    # blocks of points keep the (len(mats), block) temporaries bounded
+    step = max(1, _SAMPLE_BLOCK // len(mats))
+    for lo in range(0, len(zc), step):
+        blk = slice(lo, lo + step)
+        gz = _mobius_batch(mats, zc[blk])
+        dists = _dist_c(np.full(gz.shape, z0c), gz)
+        mask[blk] = np.all(dz[None, blk] < dists[1:], axis=0)
+        pick = np.argmin(dists, axis=0)
+        idx = np.arange(len(pick))
+        moved[blk] = gz[pick, idx]
+        if companion is not None:
+            moved_comp[blk] = _mobius_batch(mats, companion[blk])[pick, idx]
+    return moved, moved_comp, mask
 
 
 def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
     """Whether each complex point lies in the open Dirichlet domain
     centered at the base point z0: d(z0, z) < d(z0, gamma z) for every
-    nontrivial gamma.
-
-    Testing gamma with d(z0, gamma z0) <= 2 d(z0, z) + margin suffices
-    (the standard Dirichlet-domain cutoff); a cached ball at the base
-    point covering that cutoff is used.
-    """
-    zc = np.asarray(zc)
-    z0c = G.base_point.as_complex
-    dz = _dist_c(np.full(zc.shape, z0c), zc)
-    ball = _membership_ball(G, float(dz.max()) if zc.size else 0.0)
-    if not ball.elements:
-        return np.ones(zc.shape, dtype=bool)
-    gz = _mobius_batch(ball.matrices(), zc)
-    dists = _dist_c(np.full(gz.shape, z0c), gz)
-    return np.all(dz[None, :] < dists, axis=0)
+    nontrivial gamma (see ``reduce_to_domain``)."""
+    return reduce_to_domain(G, zc)[2]
 
 
-def domain_net(G: GroupSpec, n: int, seed: int = 20_177) -> list:
-    """A deterministic net of n points of the Dirichlet domain, obtained
-    by rejection from the covering ball around the base point."""
-    pts = [G.base_point]
-    zc = _domain_samples(G, n - 1, seed) if n > 1 else np.array([])
-    pts += [Point(float(z.real), float(z.imag)) for z in zc]
-    return pts
+def systole(G: GroupSpec, search_radius: float) -> float:
+    """The least translation length 2 arccosh(|a + d| / 2) over the
+    group ball of radius search_radius + 2 domain_radius at z0.
 
-
-def systole(G: GroupSpec, search_radius: float, net_size: int = 20) -> float:
-    """Shortest displacement found over a coarse net of the fundamental
-    domain: min over net points z of 2 * InjRad(z), searched within a
-    group ball of radius search_radius + domain diameter at the base
-    point."""
+    Exact when the systole ell is at most search_radius: a shortest
+    closed geodesic meets the domain, which lies within domain_radius of
+    z0, so a conjugate of its element (same trace) has its axis through
+    some w with d(z0, w) <= domain_radius and moves z0 by at most
+    ell + 2 domain_radius.
+    Otherwise it is the shortest within the ball; an elliptic or
+    parabolic element (|a + d| <= 2) in the ball gives 0."""
     ball = group_ball(G, G.base_point,
                       search_radius + 2.0 * G.domain_radius)
     if not ball.elements:
         raise EnumerationTruncated(
             "no group element found within the search radius; increase it",
             partial=ball)
-    net = domain_net(G, net_size)
-    zc = np.array([p.as_complex for p in net])
-    return float(min_displacement_batch(ball, zc).min())
+    m = ball.matrices()
+    # arccosh increases, so the least |trace| gives the least length
+    half_trace = float(np.abs(m[:, 0] + m[:, 3]).min()) / 2.0
+    return 2.0 * math.acosh(max(half_trace, 1.0))
 
 
 def thin_part_fraction(G: GroupSpec, R: float, n: int, seed: int) -> tuple:
@@ -361,11 +373,8 @@ def thin_part_fraction(G: GroupSpec, R: float, n: int, seed: int) -> tuple:
     # by < 2R + 2 * domain_radius
     ball = group_ball(G, G.base_point, 2.0 * R + 2.0 * G.domain_radius)
     samples = _domain_samples(G, n, seed)
-    if ball.elements:
-        disp = min_displacement_batch(ball, samples)
-        hits = int(np.count_nonzero(disp < 2.0 * R))
-    else:
-        hits = 0
+    hits = int(np.count_nonzero(min_displacement_batch(ball, samples)
+                                < 2.0 * R))
     frac = hits / n
     err = math.sqrt(max(frac * (1.0 - frac), 1.0 / n) / n)
     return frac, err

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (Point, ball_volume, hyp_dist, _dist_c, _disc_chart,
-                   _disc_chart_inv, _mobius_batch, _polar_batch, polar_from,
-                   polar_to, sample_ball_complex, TWO_PI)
+                   _disc_chart_inv, _polar_batch, polar_from, polar_to,
+                   sample_ball_complex, TWO_PI)
 from .fuchsian import (GroupSpec, systole, thin_part_fraction, domain_volume,
-                       _domain_samples, _membership_ball)
+                       reduce_to_domain, _domain_samples)
 from .selberg import _gauss_legendre
 
 
@@ -204,7 +204,7 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
     # Reduce the midpoint frame to the fundamental domain: translate m
     # into D and transport the direction by the same group element, so
     # that angle-dependent test functions are evaluated on quotient data.
-    mc, zpc = _reduce_pair(G, mc, zpc, 0.5 * R)
+    mc, zpc, _ = reduce_to_domain(G, mc, zpc)
     # direction at the (reduced) midpoint: angle of z' seen from m
     theta_m = np.angle(_disc_chart(mc, zpc)) % TWO_PI
     sep = 2.0 * _dist_c(mc, zpc)  # isometry-invariant separation
@@ -224,21 +224,6 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
                      error=scale_rhs * float(vals_rhs.std(ddof=1))
                      / math.sqrt(n))
     return lhs, rhs
-
-
-def _reduce_pair(G: GroupSpec, mc: np.ndarray, zpc: np.ndarray,
-                 reach: float):
-    """Apply, per sample, the group element bringing the midpoint
-    closest to the base point (i.e. into the Dirichlet domain), to both
-    the midpoint and its companion point."""
-    z0c = G.base_point.as_complex
-    ball = _membership_ball(G, G.domain_radius + reach)
-    mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
-    gm = _mobius_batch(mats, mc)
-    dists = _dist_c(np.full(gm.shape, z0c), gm)
-    pick = np.argmin(dists, axis=0)
-    idx = np.arange(len(mc))
-    return gm[pick, idx], _mobius_batch(mats, zpc)[pick, idx]
 
 
 def _avg_kernel_at(a: Observable, zc: complex, wc: complex, T: float,

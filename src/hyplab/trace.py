@@ -23,8 +23,9 @@ import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureFailure, IllConditioned
-from .geom import Point, _dist_c, _mobius_batch
-from .fuchsian import GroupSpec, group_ball, systole, _domain_samples, domain_volume
+from .geom import Point
+from .fuchsian import (GroupSpec, group_ball, systole, domain_volume,
+                       _displacement, _domain_samples)
 from .selberg import heat_kernel, _heat_profile
 
 
@@ -126,16 +127,27 @@ def weyl_density(f, quad_limit: float) -> float:
 
 
 def lattice_count_bound(R: float, ell: float) -> float:
-    """Upper bound (cosh(R + ell) - 1)/(cosh ell - 1) for the number of
-    group elements displacing a point by at most R."""
-    return (math.cosh(R + ell) - 1.0) / (math.cosh(ell) - 1.0)
+    """Upper bound (cosh(R + ell/2) - 1)/(cosh(ell/2) - 1) for the number
+    of group elements displacing a point z by at most R, when every
+    nontrivial element is hyperbolic with translation length >= ell
+    (torsion-free cocompact groups, ell at most the systole).
+
+    Proof: a hyperbolic element moves every point by at least its
+    translation length, so distinct gamma, gamma' have
+    d(gamma z, gamma' z) = d(z, gamma^-1 gamma' z) >= ell.  The open
+    balls of radius ell/2 about the orbit points are thus disjoint, and
+    those within R of z (the identity's included) lie in
+    B(z, R + ell/2); compare areas 2 pi (cosh r - 1)."""
+    half = 0.5 * ell
+    return (math.cosh(R + half) - 1.0) / (math.cosh(half) - 1.0)
 
 
 def _geometric_tail_bound(G: GroupSpec, t: float, R: float,
                           ell: float = None) -> float:
     """Certified bound for the omitted heat mass beyond displacement R:
     shell counts from the lattice bound times the (decreasing) kernel at
-    the shell's inner radius."""
+    the shell's inner radius.  The default ell is the exact systole,
+    so the lattice bound holds."""
     if ell is None:
         ell = systole(G, search_radius=4.0)
     _, rho_max = _heat_profile(t)
@@ -155,13 +167,8 @@ def geometric_side(G: GroupSpec, z: Point, t: float, R: float):
     """
     if t <= 0.0 or R <= 0.0:
         raise ValueError("t and R must be positive")
-    ball = group_ball(G, z, R)
-    if ball.elements:
-        disp = ball.displacements()
-        value = float(np.sum(heat_kernel(t, disp)))
-    else:
-        value = 0.0
-    return value, _geometric_tail_bound(G, t, R)
+    disp = group_ball(G, z, R).displacements()
+    return float(np.sum(heat_kernel(t, disp))), _geometric_tail_bound(G, t, R)
 
 
 def geometric_side_domain_integral(G: GroupSpec, t: float, R: float,
@@ -176,13 +183,9 @@ def geometric_side_domain_integral(G: GroupSpec, t: float, R: float,
     ball = group_ball(G, G.base_point, R + 2.0 * G.domain_radius)
     zc = _domain_samples(G, n, seed)
     vol_D, _ = domain_volume(G, n=4000, seed=seed + 1)
-    if ball.elements:
-        gz = _mobius_batch(ball.matrices(), zc)
-        disp = _dist_c(gz, np.broadcast_to(zc[None, :], gz.shape))
-        # count each element only while inside its own ball radius R
-        contrib = np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0)
-    else:
-        contrib = np.zeros(len(zc))
+    disp = _displacement(ball.matrices(), zc)
+    # count each element only while inside its own ball radius R
+    contrib = np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0)
     value = vol_D * float(contrib.mean())
     err = vol_D * float(contrib.std(ddof=1)) / math.sqrt(n)
     tail = vol_D * _geometric_tail_bound(G, t, R)

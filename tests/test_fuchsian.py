@@ -8,15 +8,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hyplab.cli import run
 from hyplab.errors import EnumerationTruncated
-from hyplab.geom import Point, MobiusElement, mobius_apply, hyp_dist
+from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
+                         sample_ball_complex, _dist_c, _mobius_batch)
 from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
                              save_group, group_ball, injectivity_radius,
-                             dirichlet_mask, systole, thin_part_fraction,
-                             domain_volume, min_displacement_batch,
-                             _doubled_generators, _DEDUP_TOL)
+                             dirichlet_mask, reduce_to_domain, systole,
+                             thin_part_fraction, domain_volume,
+                             min_displacement_batch, _doubled_generators,
+                             _DEDUP_TOL)
 from hyplab.trace import lattice_count_bound
 
 # the octagon surface: systole = 2 acosh(1 + sqrt 2)
@@ -166,6 +169,14 @@ def test_injectivity_radius_and_systole(bolza_group):
     assert sys <= 2.0 * inj + 1e-12
 
 
+@pytest.mark.parametrize("name,search_radius,ell", [
+    ("bolza", 1.0, OCT_SYSTOLE), ("bolza", 4.0, OCT_SYSTOLE),
+    ("cyclic_L2", 1.0, 2.0)])
+def test_systole_is_the_least_translation_length(name, search_radius, ell):
+    assert systole(builtin_group(name), search_radius) == pytest.approx(
+        ell, rel=1e-12)
+
+
 def test_injectivity_radius_cap(cyclic_group):
     # search radius below the minimal displacement: capped lower bound
     assert injectivity_radius(cyclic_group, cyclic_group.base_point,
@@ -181,16 +192,30 @@ def test_lattice_count_bound_not_violated(bolza_group):
 
 
 def test_lattice_count_bound_value():
-    # (cosh(R + ell) - 1)/(cosh ell - 1)
+    # the packing bound (cosh(R + ell/2) - 1)/(cosh(ell/2) - 1)
     R, ell = 4.0, OCT_SYSTOLE
-    expect = (math.cosh(R + ell) - 1.0) / (math.cosh(ell) - 1.0)
+    expect = (math.cosh(R + 0.5 * ell) - 1.0) / (math.cosh(0.5 * ell) - 1.0)
     assert lattice_count_bound(R, ell) == pytest.approx(expect, rel=1e-12)
+    assert lattice_count_bound(R, ell) == pytest.approx(88.3, abs=0.05)
 
 
 def test_octagon_domain_volume(bolza_group):
     # genus-2 surface: area 4 pi (Gauss-Bonnet)
     vol, err = domain_volume(bolza_group, n=20_000, seed=3)
     assert abs(vol - 4.0 * math.pi) <= 4.0 * err + 1e-9
+
+
+def test_cylinder_domain_volume(cyclic_group):
+    """The cyclic_L2 domain truncated to B(z0, 3) is, in Fermi
+    coordinates (s along the axis, rho across it),
+    {|s| < 1, cosh s cosh rho <= cosh 3}, with area element
+    cosh rho ds drho."""
+    area, _ = integrate.quad(
+        lambda s: 2.0 * math.sinh(math.acosh(math.cosh(3.0) / math.cosh(s))),
+        -1.0, 1.0, epsabs=1e-13)
+    assert area == pytest.approx(34.630790, abs=1e-6)
+    vol, err = domain_volume(cyclic_group, n=20_000, seed=5)
+    assert abs(vol - area) <= 4.0 * err
 
 
 def test_thin_part_empty_below_half_systole(bolza_group):
@@ -207,6 +232,36 @@ def test_dirichlet_mask_basics(bolza_group):
     g = G.generators[0]
     far = mobius_apply(g, G.base_point).as_complex
     assert not dirichlet_mask(G, np.array([far]))[0]
+
+
+@pytest.mark.parametrize("name", ["bolza", "cyclic_L2"])
+def test_reduce_to_domain_is_the_brute_force_argmin(name):
+    G = builtin_group(name)
+    z0c = G.base_point.as_complex
+    zc = sample_ball_complex(G.base_point, 4.0, 400, seed=1)
+    comp = sample_ball_complex(G.base_point, 4.0, 400, seed=2)
+    moved, moved_comp, mask = reduce_to_domain(G, zc, comp)
+    # brute force over the R = 9 ball, the identity first
+    mats = np.vstack([np.eye(2).reshape(-1),
+                      group_ball(G, G.base_point, 9.0).matrices()])
+    gz = _mobius_batch(mats, zc)
+    dists = _dist_c(z0c, gz)
+    pick, idx = np.argmin(dists, axis=0), np.arange(len(zc))
+    # the images of two points fix the element
+    assert np.array_equal(moved, gz[pick, idx])
+    assert np.array_equal(moved_comp, _mobius_batch(mats, comp)[pick, idx])
+    assert np.array_equal(mask, np.all(_dist_c(z0c, zc) < dists[1:], axis=0))
+    assert 0 < mask.sum() < len(zc)
+    assert np.allclose(_dist_c(moved, moved_comp), _dist_c(zc, comp),
+                       rtol=0, atol=1e-9)
+
+
+def test_reduce_to_domain_empty_input(bolza_group):
+    empty = np.array([], dtype=complex)
+    moved, moved_comp, mask = reduce_to_domain(bolza_group, empty, empty)
+    assert moved.shape == moved_comp.shape == mask.shape == (0,)
+    assert mask.dtype == bool
+    assert reduce_to_domain(bolza_group, empty)[1] is None
 
 
 def test_min_displacement_batch(bolza_group):

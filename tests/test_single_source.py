@@ -2,7 +2,9 @@
 Gauss-Legendre nodes come only from ``selberg._gauss_legendre``, the
 batched Mobius action (a*z + b)/(c*z + d) is written only in
 ``geom._mobius_batch`` (besides the scalar
-``MobiusElement.apply_complex``), and the determinant a*d - b*c and the
+``MobiusElement.apply_complex``) and called only by the displacement
+matrix ``fuchsian._displacement`` and the domain reduction
+``fuchsian.reduce_to_domain``, and the determinant a*d - b*c and the
 canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
 written only in ``geom._canonical_batch`` (besides the scalar
 ``MobiusElement.__post_init__``)."""
@@ -16,6 +18,7 @@ SRC = pathlib.Path(hyplab.__file__).parent
 NODE_SOURCES = {"roots_legendre", "leggauss"}
 ALLOWED = {"nodes": {"_gauss_legendre"},
            "mobius": {"_mobius_batch", "apply_complex"},
+           "mobius call": {"_displacement", "reduce_to_domain"},
            "det": {"_canonical_batch", "__post_init__"},
            "sign": {"_canonical_batch", "__post_init__"}}
 
@@ -68,6 +71,11 @@ def _sites():
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
                     and _is_product(node.left) and _is_product(node.right)):
                 yield "det", path.name, node.lineno, func
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr",
+                                                         None))
+                    == "_mobius_batch"):
+                yield "mobius call", path.name, node.lineno, func
             if _is_sign_cutoff(node):
                 yield "sign", path.name, node.lineno, func
 

@@ -8,6 +8,7 @@ import pytest
 
 from hyplab.trace import (EigenData, load_eigendata, save_eigendata,
                           weyl_density, lattice_count_bound, geometric_side,
+                          geometric_side_domain_integral,
                           heat_trace_spectral, exp_sum_fit, smoothed_window,
                           eigencount_estimate)
 from hyplab.synthetic import (radial_mode_eigenvalues, cylinder_spectrum,
@@ -62,6 +63,40 @@ def test_geometric_side_cyclic(cyclic_group):
     direct = sum(2.0 * heat_kernel(1.0, 2.0 * k) for k in (1, 2, 3))
     assert value == pytest.approx(direct, rel=1e-10)
     assert 0.0 < tail < 1e-3
+
+
+def test_geometric_side_domain_integral_cyclic(cyclic_group):
+    """Against the winding law sinh(d_k/2) = sinh(k) cosh(rho) on the
+    domain {|s| < 1, cosh s cosh rho <= cosh 3} of cyclic_L2 truncated
+    to B(z0, 3), in Fermi coordinates (s, rho) with area element
+    cosh rho ds drho, counting g^k and g^-k while d_k <= R."""
+    from scipy import integrate
+    from hyplab.fuchsian import domain_volume
+    from hyplab.selberg import heat_kernel
+    t, R, n, seed = 1.0, 6.0, 100_000, 11
+
+    def across(rho):  # the geometric side at distance rho from the axis
+        d = 2.0 * np.arcsinh(np.sinh(np.arange(1, 4)) * math.cosh(rho))
+        return 2.0 * float(heat_kernel(t, d[d <= R]).sum()) * math.cosh(rho)
+
+    # d_k = R at these rho, where the integrand jumps
+    kinks = [math.acosh(math.sinh(0.5 * R) / math.sinh(k)) for k in (1, 2)]
+
+    def along(s):  # the integral across the axis at s
+        rho_max = math.acosh(math.cosh(3.0) / math.cosh(s))
+        return 2.0 * integrate.quad(
+            across, 0.0, rho_max, points=[r for r in kinks if r < rho_max],
+            epsabs=1e-13, limit=200)[0]
+
+    exact, _ = integrate.quad(along, -1.0, 1.0, epsabs=1e-12)
+    assert exact == pytest.approx(0.13973693, abs=1e-8)
+    value, err, tail = geometric_side_domain_integral(cyclic_group, t, R, n,
+                                                      seed)
+    # the value scales with the Monte Carlo domain volume it computes
+    vol, vol_err = domain_volume(cyclic_group, n=4000, seed=seed + 1)
+    sigma = math.hypot(err, value * vol_err / vol)
+    assert abs(value - exact) <= 4.0 * sigma
+    assert tail > 0.0
 
 
 def test_exp_sum_fit_quality():
