@@ -299,6 +299,19 @@ def _cmd_spectral_action(run, args):
                                       "argmin_s": float(s_grid[i_min])})
 
 
+def _cylinder_spectrum(run, args, lam_max, degree):
+    """synthetic.cylinder_spectrum, with its eigenvalue count and time
+    recorded under diagnostics.spectrum."""
+    from . import synthetic
+    t0 = time.perf_counter()
+    E = synthetic.cylinder_spectrum(args.L, args.W, lam_max, degree=degree,
+                                    n_grid=args.n_grid)
+    run.diagnostics.setdefault("spectrum", []).append(
+        {"degree": degree, "eigenvalues": len(E.eigenvalues),
+         "seconds": time.perf_counter() - t0})
+    return E
+
+
 def _cmd_trace(run, args):
     if args.action == "weyl":
         lam_lo, lam_hi = _parse_pair(args.window, "--window")
@@ -308,9 +321,7 @@ def _cmd_trace(run, args):
                                "weyl_density": val})
     elif args.action == "pretrace":
         from . import synthetic
-        E = synthetic.cylinder_spectrum(args.L, args.W, args.lam_max,
-                                        degree=args.degree,
-                                        n_grid=args.n_grid)
+        E = _cylinder_spectrum(run, args, args.lam_max, args.degree)
         spectral, s_tail = trace.heat_trace_spectral(E, args.t)
         geom = synthetic.cylinder_geometric_side(args.L, args.W, args.t,
                                                  degree=args.degree)
@@ -323,12 +334,10 @@ def _cmd_trace(run, args):
             "weyl_term": weyl, "geometric_side": geom,
             "defect": spectral - weyl - geom})
     elif args.action == "count":
-        from . import synthetic
         lam_lo, lam_hi = _parse_pair(args.window, "--window")
         rows = []
         for m in (int(v) for v in args.degrees.split(",")):
-            E = synthetic.cylinder_spectrum(args.L, args.W, lam_hi + 1.0,
-                                            degree=m, n_grid=args.n_grid)
+            E = _cylinder_spectrum(run, args, lam_hi + 1.0, m)
             ev = E.eigenvalues
             count = int(np.count_nonzero((ev >= lam_lo) & (ev <= lam_hi)))
             f = trace.smoothed_window(lam_lo, lam_hi, 1e-6)

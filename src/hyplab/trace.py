@@ -147,14 +147,24 @@ def _geometric_tail_bound(G: GroupSpec, t: float, R: float,
     """Certified bound for the omitted heat mass beyond displacement R:
     shell counts from the lattice bound times the (decreasing) kernel at
     the shell's inner radius.  The default ell is the exact systole,
-    so the lattice bound holds."""
+    so the lattice bound holds.
+
+    A group with one generator gamma is cyclic, and its count within r
+    is also at most 2 floor(r / ell) + 1, which grows like r instead of
+    e^r.  Proof: gamma^k is hyperbolic with translation length
+    |k| ell(gamma) >= |k| ell, and moves every point at least that far,
+    so d(z, gamma^k z) <= r forces |k| <= r / ell."""
     if ell is None:
         ell = systole(G, search_radius=4.0)
+    cyclic = len(G.generators) == 1
     _, rho_max = _heat_profile(t)
     total = 0.0
     k = math.floor(R)
     while k <= rho_max + 1.0:
-        total += lattice_count_bound(k + 1.0, ell) * heat_kernel(t, max(k, R))
+        count = lattice_count_bound(k + 1.0, ell)
+        if cyclic:
+            count = min(count, 2 * math.floor((k + 1.0) / ell) + 1)
+        total += count * heat_kernel(t, max(k, R))
         k += 1
     return total
 

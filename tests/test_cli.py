@@ -170,6 +170,24 @@ def test_trace_weyl_csv(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("action, extra, lam_max, degrees", [
+    ("pretrace", ["--lam-max", "20", "--degree", "2"], 20.0, [2]),
+    ("count", ["--degrees", "1,2", "--window", "1.25,4.25"], 5.25, [1, 2])])
+def test_trace_manifest_records_spectrum(tmp_path, action, extra, lam_max,
+                                         degrees):
+    from hyplab.synthetic import cylinder_spectrum
+    out = tmp_path / "o"
+    assert run(["trace", action, "--n-grid", "300", *extra,
+                "--out", str(out)]) == 0
+    entries = read_manifest(out)["diagnostics"]["spectrum"]
+    assert [e["degree"] for e in entries] == degrees
+    for e in entries:
+        E = cylinder_spectrum(2.0, 4.0, lam_max, degree=e["degree"],
+                              n_grid=300)
+        assert e["eigenvalues"] == len(E.eigenvalues)
+        assert e["seconds"] >= 0.0
+
+
 def test_qe_subcommand(tmp_path):
     import numpy as np
     from hyplab.synthetic import flat_mesh_eigendata

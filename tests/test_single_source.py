@@ -7,7 +7,9 @@ matrix ``fuchsian._displacement`` and the domain reduction
 ``fuchsian.reduce_to_domain``, and the determinant a*d - b*c and the
 canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
 written only in ``geom._canonical_batch`` (besides the scalar
-``MobiusElement.__post_init__``)."""
+``MobiusElement.__post_init__``), and the tridiagonal eigensolver
+``eigh_tridiagonal`` is used only in
+``synthetic.radial_mode_eigenvalues``."""
 
 import ast
 import pathlib
@@ -20,7 +22,8 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "mobius": {"_mobius_batch", "apply_complex"},
            "mobius call": {"_displacement", "reduce_to_domain"},
            "det": {"_canonical_batch", "__post_init__"},
-           "sign": {"_canonical_batch", "__post_init__"}}
+           "sign": {"_canonical_batch", "__post_init__"},
+           "tridiagonal": {"radial_mode_eigenvalues"}}
 
 
 def _walk(node, func=None):
@@ -78,6 +81,10 @@ def _sites():
                 yield "mobius call", path.name, node.lineno, func
             if _is_sign_cutoff(node):
                 yield "sign", path.name, node.lineno, func
+            # a plain import binds the name; every use of it counts
+            if name == "eigh_tridiagonal" and not (
+                    isinstance(node, ast.alias) and node.asname is None):
+                yield "tridiagonal", path.name, node.lineno, func
 
 
 def test_one_node_source_and_one_batched_mobius_action():

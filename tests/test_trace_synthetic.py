@@ -62,24 +62,23 @@ def test_geometric_side_cyclic(cyclic_group):
     # displacements are 2|k|: compare against the direct sum
     direct = sum(2.0 * heat_kernel(1.0, 2.0 * k) for k in (1, 2, 3))
     assert value == pytest.approx(direct, rel=1e-10)
-    assert 0.0 < tail < 1e-3
+    omitted = sum(2.0 * heat_kernel(1.0, 2.0 * k) for k in range(4, 20))
+    assert omitted <= tail < 1e-3
 
 
-def test_geometric_side_domain_integral_cyclic(cyclic_group):
-    """Against the winding law sinh(d_k/2) = sinh(k) cosh(rho) on the
-    domain {|s| < 1, cosh s cosh rho <= cosh 3} of cyclic_L2 truncated
-    to B(z0, 3), in Fermi coordinates (s, rho) with area element
-    cosh rho ds drho, counting g^k and g^-k while d_k <= R."""
+def _cyclic_winding_integral(t, R, keep):
+    """Integral of Sum_{k != 0, keep(d_k)} p_t(d_k) over the domain
+    {|s| < 1, cosh s cosh rho <= cosh 3} of cyclic_L2 truncated to
+    B(z0, 3), by the winding law sinh(d_k/2) = sinh(k) cosh(rho) in
+    Fermi coordinates (s, rho) with area element cosh rho ds drho.  The
+    integrand jumps where d_k = R."""
     from scipy import integrate
-    from hyplab.fuchsian import domain_volume
     from hyplab.selberg import heat_kernel
-    t, R, n, seed = 1.0, 6.0, 100_000, 11
 
-    def across(rho):  # the geometric side at distance rho from the axis
-        d = 2.0 * np.arcsinh(np.sinh(np.arange(1, 4)) * math.cosh(rho))
-        return 2.0 * float(heat_kernel(t, d[d <= R]).sum()) * math.cosh(rho)
+    def across(rho):  # the winding sum at distance rho from the axis
+        d = 2.0 * np.arcsinh(np.sinh(np.arange(1, 13)) * math.cosh(rho))
+        return 2.0 * float(heat_kernel(t, d[keep(d)]).sum()) * math.cosh(rho)
 
-    # d_k = R at these rho, where the integrand jumps
     kinks = [math.acosh(math.sinh(0.5 * R) / math.sinh(k)) for k in (1, 2)]
 
     def along(s):  # the integral across the axis at s
@@ -88,7 +87,14 @@ def test_geometric_side_domain_integral_cyclic(cyclic_group):
             across, 0.0, rho_max, points=[r for r in kinks if r < rho_max],
             epsabs=1e-13, limit=200)[0]
 
-    exact, _ = integrate.quad(along, -1.0, 1.0, epsabs=1e-12)
+    return integrate.quad(along, -1.0, 1.0, epsabs=1e-12)[0]
+
+
+def test_geometric_side_domain_integral_cyclic(cyclic_group):
+    """Against the winding law, counting g^k and g^-k while d_k <= R."""
+    from hyplab.fuchsian import domain_volume
+    t, R, n, seed = 1.0, 6.0, 100_000, 11
+    exact = _cyclic_winding_integral(t, R, lambda d: d <= R)
     assert exact == pytest.approx(0.13973693, abs=1e-8)
     value, err, tail = geometric_side_domain_integral(cyclic_group, t, R, n,
                                                       seed)
@@ -96,7 +102,11 @@ def test_geometric_side_domain_integral_cyclic(cyclic_group):
     vol, vol_err = domain_volume(cyclic_group, n=4000, seed=seed + 1)
     sigma = math.hypot(err, value * vol_err / vol)
     assert abs(value - exact) <= 4.0 * sigma
-    assert tail > 0.0
+    # the cyclic tail bound covers the heat mass beyond R, and is not the
+    # packing bound's 0.130
+    omitted = _cyclic_winding_integral(t, R, lambda d: d > R)
+    assert omitted == pytest.approx(1.4e-5, rel=0.05)
+    assert omitted <= tail < 1e-3
 
 
 def test_exp_sum_fit_quality():
@@ -132,6 +142,40 @@ def test_radial_modes_neumann_structure():
     # nu > 0 lifts the bottom eigenvalue
     ev1 = radial_mode_eigenvalues(2.0, 4.0, n_grid=800, lam_max=20.0)
     assert ev1[0] > 1e-3
+
+
+@pytest.mark.parametrize("lam_max", [5.25, 60.0, 120.0])
+def test_radial_modes_range_solve_is_the_full_solve(lam_max):
+    """Bisection on (-1, lam_max] against the full spectrum cut at
+    lam_max, at nu = 0, halfway and at the last circular mode of the
+    L = 2 cylinder that cylinder_spectrum solves."""
+    L, W, n_grid = 2.0, 4.0, 1500
+    # cylinder_spectrum stops at the first nu = 2 pi n / L with
+    # nu^2 / cosh^2 W > lam_max
+    n_last = math.floor(math.sqrt(lam_max) * math.cosh(W) * L
+                        / (2.0 * math.pi))
+    for n in (0, n_last // 2, n_last):
+        nu = 2.0 * math.pi * n / L
+        full = radial_mode_eigenvalues(nu, W, n_grid, lam_max=None)
+        full = full[full <= lam_max]
+        kept = radial_mode_eigenvalues(nu, W, n_grid, lam_max=lam_max)
+        assert len(kept) == len(full)
+        assert len(kept) > 1 or n > 0  # nu = 0 keeps several modes
+        np.testing.assert_allclose(kept, full, rtol=0.0, atol=1e-9)
+
+
+def test_radial_modes_empty_and_full_ranges(monkeypatch):
+    W, nu = 4.0, 3.0
+    # the operator is at least nu^2 / cosh^2 W
+    below = 0.99 * nu * nu / math.cosh(W) ** 2
+    assert len(radial_mode_eigenvalues(nu, W, 800, lam_max=below)) == 0
+    assert len(radial_mode_eigenvalues(0.0, W, 800, lam_max=None)) == 800
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    monkeypatch.setattr("hyplab.synthetic.eigh_tridiagonal", no_solve)
+    assert len(radial_mode_eigenvalues(0.0, W, 800, lam_max=-0.5)) == 0
 
 
 def test_cylinder_spectrum_structure():
