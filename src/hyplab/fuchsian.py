@@ -1,6 +1,6 @@
 """Finitely generated cocompact Fuchsian groups: ball enumeration over
-words, reduction to the Dirichlet domain, injectivity radius, systole and
-thin-part statistics.
+words, the exact Dirichlet domain and reduction to it, injectivity
+radius, systole and thin-part statistics.
 
 Enumeration is breadth-first over reduced words, one word length (level)
 at a time, on (N, 4) arrays of matrix entries.  Each level multiplies
@@ -13,6 +13,26 @@ entry of an element kept at a shorter length or of an earlier product of
 its level in (prefix, generator) order.  This can mislabel
 nearly-parabolic inputs, which do not occur for the cocompact groups
 targeted here.
+
+The Dirichlet domain D = {z : d(z0, z) < d(z0, gamma z), gamma != id}
+is star-shaped about z0: with gamma z0 at polar coordinates
+(theta_g, d_g), the bisector of z0 and gamma z0 lies at
+rho = artanh(tanh(d_g/2) / cos(theta - theta_g)) where that cosine
+exceeds tanh(d_g/2), and the boundary of D is the min over gamma
+(Beardon, The Geometry of Discrete Groups, sec. 9.4; Katok, Fuchsian
+Groups, ch. 3).  ``dirichlet_domain`` splits the circle at the pairwise
+crossings of these curves and sums the exact arc areas
+Integral (cosh rho - 1) dtheta = [arcsin(cosh(d_g/2) sin phi) - phi],
+phi = theta - theta_g; its radius c is the largest rho, reached at an
+arc end because rho grows with |phi|.
+Certification: any set of elements cuts out a region containing D.  The
+generators' region has some radius c0, and each generator bounding it
+has d_g <= 2 c0, as its bisector comes within c0 of z0.  So the gamma
+with d_g <= R, for R >= 2 c0, cut out a region D_R within B(z0, c0), of
+radius c <= c0.  Any other gamma has d_g > 2c, so each z of D_R has
+d(z, gamma z0) >= d_g - d(z, z0) > c >= d(z, z0): gamma cuts nothing,
+and D = D_R.  A one-generator group's domain (a strip) is truncated to
+B(z0, 3) by capping rho at 3, and the argument holds with c = 3.
 
 Reduction (``reduce_to_domain``) moves z to the gamma z nearest the base
 point z0, searching only gamma with d(z0, gamma z0) <= 2 d(z0, z).  Proof:
@@ -33,8 +53,9 @@ from importlib import resources
 import numpy as np
 
 from .errors import EnumerationTruncated
-from .geom import (Point, MobiusElement, _SAMPLE_BLOCK, _canonical_batch,
-                   _dist_c, _mobius_batch, ball_volume, sample_ball_complex)
+from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK,
+                   _canonical_batch, _dist_c, _mobius_batch, mobius_apply,
+                   polar_to, sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
 # floating-point error (~1e-9 for entries of size e^{R/2} at word length
@@ -48,13 +69,14 @@ _DEDUP_TOL = 1e-6
 class GroupSpec:
     """A Fuchsian group given by generator matrices plus enumeration
     controls.  Generator inverses are synthesized; they need not be
-    listed."""
+    listed.  The Dirichlet domain at ``base_point``, its area and the
+    radius of the ball about base_point that covers it are computed from
+    the generators by ``dirichlet_domain``."""
 
     generators: tuple
     name: str = "unnamed"
     max_word_length: int = 10
     base_point: Point = field(default_factory=lambda: Point(0.0, 1.0))
-    domain_radius: float = 3.0  # ball around base_point known to cover D
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -103,7 +125,7 @@ class GroupBall:
 
 def load_group(path) -> GroupSpec:
     """Read a group spec from JSON: {name, generators, base_point,
-    max_word_length[, domain_radius]}."""
+    max_word_length}; other keys are ignored."""
     with open(path) as fh:
         doc = json.load(fh)
     return _group_from_dict(doc)
@@ -121,7 +143,6 @@ def _group_from_dict(doc) -> GroupSpec:
             name=doc.get("name", "unnamed"),
             max_word_length=int(doc["max_word_length"]),
             base_point=Point(bx, by),
-            domain_radius=float(doc.get("domain_radius", 3.0)),
         )
     except KeyError as exc:
         raise ValueError(f"group JSON has no field {exc}") from None
@@ -139,7 +160,6 @@ def save_group(spec: GroupSpec, path) -> None:
         "generators": [[[g.a, g.b], [g.c, g.d]] for g in spec.generators],
         "base_point": [spec.base_point.x, spec.base_point.y],
         "max_word_length": spec.max_word_length,
-        "domain_radius": spec.domain_radius,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -258,6 +278,12 @@ def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
                      truncated=bool(len(frontier)), stats=stats)
 
 
+def _ball_radius(r: float) -> float:
+    """r rounded up to a multiple of 0.5, with a 1e-6 margin for
+    rounding, so that nearby queries share one cached enumeration."""
+    return 0.5 * math.ceil(2.0 * (r + 1e-6))
+
+
 def group_ball(G: GroupSpec, z: Point, R: float) -> GroupBall:
     """All nontrivial group elements gamma with d(z, gamma z) <= R that
     are reachable within the word-length cap.
@@ -304,10 +330,8 @@ def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
     zc = np.asarray(zc)
     z0c = G.base_point.as_complex
     dz = _dist_c(np.full(zc.shape, z0c), zc)
-    # quantize the radius (1e-6 margin for rounding) so that repeated
-    # queries share one cached enumeration
-    need = 2.0 * float(dz.max(initial=0.0)) + 1e-6
-    ball = group_ball(G, G.base_point, 0.5 * math.ceil(2.0 * need))
+    ball = group_ball(G, G.base_point,
+                      _ball_radius(2.0 * float(dz.max(initial=0.0))))
     mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
     moved = np.empty_like(zc)
     moved_comp = None if companion is None else np.empty_like(companion)
@@ -334,19 +358,78 @@ def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
     return reduce_to_domain(G, zc)[2]
 
 
+@functools.lru_cache(maxsize=64)
+def dirichlet_domain(G: GroupSpec) -> tuple:
+    """(area, radius) of the Dirichlet domain D at the base point z0:
+    its exact area and the least radius of a ball about z0 covering it
+    (module docstring).  A one-generator group's D is truncated to
+    B(z0, 3), of radius 3.0.  ValueError if the generators alone leave D
+    unbounded."""
+    cap = 3.0 if len(G.generators) == 1 else math.inf
+    # the generators' region bounds D's radius by c, so every gamma that
+    # can cut D lies in the ball of radius 2c
+    _, c = _envelope(G, _doubled_generators(G)[0], cap)
+    ball = group_ball(G, G.base_point, _ball_radius(2.0 * c))
+    return _envelope(G, [g for g, _ in ball.elements], cap)
+
+
+def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
+    """(area, radius) of the region about z0 cut out by the bisectors of
+    z0 and gamma z0 for the given elements, and by rho <= cap."""
+    z0 = G.base_point
+    theta, d = np.array([polar_to(z0, mobius_apply(g, z0))
+                         for g in elements]).T
+    T, C = np.tanh(0.5 * d), np.cosh(0.5 * d)
+    half = np.arccos(T)  # half-width of each bisector's range
+    # two bisectors can cross only inside both of their ranges
+    i, j = np.triu_indices(len(d), 1)
+    near = np.abs((theta[i] - theta[j] + math.pi) % TWO_PI - math.pi) \
+        < half[i] + half[j]
+    i, j = i[near], j[near]
+    cross = np.arctan2(T[i] * np.cos(theta[j]) - T[j] * np.cos(theta[i]),
+                       T[j] * np.sin(theta[i]) - T[i] * np.sin(theta[j]))
+    capped = np.arccos(np.minimum(T / math.tanh(cap), 1.0))
+    lo = np.unique(np.concatenate(
+        [cross, cross + math.pi, theta + half, theta - half,
+         theta + capped, theta - capped]) % TWO_PI)
+    hi = np.append(lo[1:], lo[0] + TWO_PI)
+    mid = 0.5 * (lo + hi)
+    # the bisector attaining the min on each arc between break points
+    phi = (mid[:, None] - theta + math.pi) % TWO_PI - math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(np.cos(phi) > T, np.arctanh(T / np.cos(phi)), np.inf)
+    arc, k = np.arange(len(mid)), rho.argmin(axis=1)
+    phi, rho = phi[arc, k], rho[arc, k]
+    if not np.isfinite(np.minimum(rho, cap)).all():
+        raise ValueError(f"the generators of group {G.name!r} leave its "
+                         "Dirichlet domain unbounded")
+    side = rho < cap  # arcs bounded by a bisector, not by the cap
+    b = k[side, None]
+    ends = phi[side, None] + np.stack([lo - mid, hi - mid], 1)[side]
+    prim = np.arcsin(np.clip(C[b] * np.sin(ends), -1.0, 1.0)) - ends
+    area = float((prim[:, 1] - prim[:, 0]).sum())
+    radius = float(np.arctanh(np.minimum(T[b] / np.cos(ends), 1.0))
+                   .max(initial=0.0))
+    if not side.all():
+        area += (math.cosh(cap) - 1.0) * float((hi - lo)[~side].sum())
+        radius = cap
+    return area, radius
+
+
 def systole(G: GroupSpec, search_radius: float) -> float:
     """The least translation length 2 arccosh(|a + d| / 2) over the
-    group ball of radius search_radius + 2 domain_radius at z0.
+    group ball at z0 of radius search_radius + 2 radius, rounded up to a
+    multiple of 0.5, with radius from ``dirichlet_domain``.
 
-    Exact when the systole ell is at most search_radius: a shortest
-    closed geodesic meets the domain, which lies within domain_radius of
-    z0, so a conjugate of its element (same trace) has its axis through
-    some w with d(z0, w) <= domain_radius and moves z0 by at most
-    ell + 2 domain_radius.
+    Exact when the systole ell is at most search_radius and D is not
+    truncated: a shortest closed geodesic meets D, which lies within
+    radius of z0, so a conjugate of its element (same trace) has its
+    axis through some w with d(z0, w) <= radius and moves z0 by at most
+    ell + 2 radius.
     Otherwise it is the shortest within the ball; an elliptic or
     parabolic element (|a + d| <= 2) in the ball gives 0."""
-    ball = group_ball(G, G.base_point,
-                      search_radius + 2.0 * G.domain_radius)
+    ball = group_ball(G, G.base_point, _ball_radius(
+        search_radius + 2.0 * dirichlet_domain(G)[1]))
     if not ball.elements:
         raise EnumerationTruncated(
             "no group element found within the search radius; increase it",
@@ -361,17 +444,18 @@ def thin_part_fraction(G: GroupSpec, R: float, n: int, seed: int) -> tuple:
     """Monte Carlo fraction of fundamental-domain points with injectivity
     radius below R, with its 1-sigma binomial error.
 
-    For groups whose Dirichlet domain is unbounded (e.g. cyclic groups)
-    the fraction refers to the domain truncated to the covering ball of
-    ``domain_radius`` around the base point.
+    For a one-generator group, whose Dirichlet domain is unbounded, the
+    fraction refers to the domain truncated to B(z0, 3) (see
+    ``dirichlet_domain``).
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
     if n < 1:
         raise ValueError("need at least one sample")
     # elements displacing a domain point by < 2R displace the base point
-    # by < 2R + 2 * domain_radius
-    ball = group_ball(G, G.base_point, 2.0 * R + 2.0 * G.domain_radius)
+    # by < 2R + 2 * (domain radius)
+    ball = group_ball(G, G.base_point,
+                      2.0 * R + 2.0 * dirichlet_domain(G)[1])
     samples = _domain_samples(G, n, seed)
     hits = int(np.count_nonzero(min_displacement_batch(ball, samples)
                                 < 2.0 * R))
@@ -382,24 +466,18 @@ def thin_part_fraction(G: GroupSpec, R: float, n: int, seed: int) -> tuple:
 
 def _domain_samples(G: GroupSpec, n: int, seed: int) -> np.ndarray:
     """Uniform samples of the (truncated) Dirichlet domain, as complex
-    values; rejection from the covering ball."""
+    values; rejection from the ball B(z0, radius) that covers it, with
+    radius from ``dirichlet_domain``."""
+    radius = dirichlet_domain(G)[1]
     out = []
     batch_seed = seed
     need = n
     while need > 0:
-        zc = sample_ball_complex(G.base_point, G.domain_radius,
-                                 max(4 * need, 64), batch_seed)
+        zc = sample_ball_complex(G.base_point, radius, max(4 * need, 64),
+                                 batch_seed)
         keep = zc[dirichlet_mask(G, zc)]
         out.append(keep[:need])
         need -= len(keep[:need])
         batch_seed += 10_000
     return np.concatenate(out)
 
-
-def domain_volume(G: GroupSpec, n: int = 4000, seed: int = 7) -> tuple:
-    """Monte Carlo area of the (truncated) Dirichlet domain and its
-    1-sigma error, by rejection from the covering ball."""
-    zc = sample_ball_complex(G.base_point, G.domain_radius, n, seed)
-    frac = float(np.count_nonzero(dirichlet_mask(G, zc))) / n
-    vol_ball = ball_volume(G.domain_radius)
-    return vol_ball * frac, vol_ball * math.sqrt(max(frac * (1 - frac), 1e-12) / n)

@@ -18,10 +18,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance budget for exact identities (isometry invariance, flow
-# composition); documented per operation in the tests.
-EXACT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Point:

@@ -20,8 +20,8 @@ import numpy as np
 from .geom import (Point, ball_volume, hyp_dist, _dist_c, _disc_chart,
                    _disc_chart_inv, _polar_batch, polar_from, polar_to,
                    sample_ball_complex, TWO_PI)
-from .fuchsian import (GroupSpec, systole, thin_part_fraction, domain_volume,
-                       reduce_to_domain, _domain_samples)
+from .fuchsian import (GroupSpec, dirichlet_domain, systole,
+                       thin_part_fraction, reduce_to_domain, _domain_samples)
 from .selberg import _gauss_legendre
 
 
@@ -189,7 +189,7 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
-    vol_D, vol_err = domain_volume(G, n=4000, seed=seed + 1)
+    vol_D = dirichlet_domain(G)[0]
     rng = np.random.default_rng(seed)
 
     # lhs: z ~ uniform(D), z' ~ uniform(B(z, R))
@@ -252,21 +252,21 @@ def _avg_kernel_at(a: Observable, zc: complex, wc: complex, T: float,
 
 
 def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
-                     n: int, seed: int, n_inner: int = 400,
-                     n_time_nodes: int = 64):
+                     n: int, seed: int):
     """Hilbert-Schmidt norm split for the time-averaged kernel
     K_T = (1/T) Int_0^T P_t a P_t dt.
 
     main: Monte Carlo estimate of Integral_D Integral_H |K_T|^2 via the
     midpoint change of variables, with |K_T|^2 estimated without bias by
-    the product of two independent inner estimates.  remainder_bound:
+    the product of two independent 400-sample inner estimates over 64
+    Gauss-Legendre time nodes.  remainder_bound:
     (e^{2R} / systole) * Vol(thin part below R) * sup|K_T|^2.
     """
     if T <= 0.0 or R <= 0.0:
         raise ValueError("T and R must be positive")
-    x, w = _gauss_legendre(n_time_nodes)
+    x, w = _gauss_legendre(64)
     t_nodes, t_wts = T * x, T * w
-    vol_D, _ = domain_volume(G, n=4000, seed=seed + 1)
+    vol_D = dirichlet_domain(G)[0]
     rng = np.random.default_rng(seed)
     R_sep = 2.0 * T  # kernel support in separation
 
@@ -280,9 +280,9 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
     prods = np.empty(n)
     for i in range(n):
         k1 = _avg_kernel_at(a, complex(zc_arr[i]), complex(wc_arr[i]), T,
-                            t_nodes, t_wts, n_inner, seed + 10_000 + 2 * i)
+                            t_nodes, t_wts, 400, seed + 10_000 + 2 * i)
         k2 = _avg_kernel_at(a, complex(zc_arr[i]), complex(wc_arr[i]), T,
-                            t_nodes, t_wts, n_inner, seed + 10_001 + 2 * i)
+                            t_nodes, t_wts, 400, seed + 10_001 + 2 * i)
         prods[i] = k1 * k2
     scale = vol_D * ball_volume(R_sep)
     main = scale * float(prods.mean())

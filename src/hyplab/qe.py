@@ -62,8 +62,7 @@ def _mesh_values(E: EigenData, a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def qe_variance(E: EigenData, a, interval,
-                gram_warn_threshold: float = 1e-2) -> QEReport:
+def qe_variance(E: EigenData, a, interval) -> QEReport:
     """The QE variance statistic of a over eigenvalues in ``interval``.
 
     ``a`` may be a callable on mesh points (rows (x, y)) or an array of
@@ -74,11 +73,10 @@ def qe_variance(E: EigenData, a, interval,
     a_vals = _mesh_values(E, a)
     lam_lo, lam_hi = interval
     gram_dev = E.gram_deviation()
-    if gram_dev > gram_warn_threshold:
+    if gram_dev > 1e-2:
         warnings.warn(
-            f"mesh Gram deviation {gram_dev:.2e} exceeds "
-            f"{gram_warn_threshold:.0e}; matrix elements may be unreliable",
-            GramDeviationTooLarge)
+            f"mesh Gram deviation {gram_dev:.2e} exceeds 1e-02; matrix "
+            "elements may be unreliable", GramDeviationTooLarge)
     W = np.asarray(E.mesh_weights, dtype=float)
     mean_a = float((W * a_vals).sum()) / float(W.sum())
     diag = matrix_elements(E, a_vals)

@@ -67,9 +67,7 @@ class SphericalOracle:
     eigenvalue 1/4 + s^2; evaluation by cubic interpolation."""
 
     s: float
-    table: np.ndarray  # rows (r, phi, phi')
-    ode_tolerance: float
-    _spline: CubicSpline = field(repr=False, default=None)
+    _spline: CubicSpline = field(repr=False)
 
     def __call__(self, r):
         # Past the first node the knots are the uniform ODE output grid,
@@ -88,19 +86,18 @@ class SphericalOracle:
         return c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
 
 
-def _quad(fn, a, b, budget_abs=1e-11, **kw):
+def _quad(fn, a, b, **kw):
     opts = dict(_QUAD_OPTS)
     opts.update(kw)
     val, err = integrate.quad(fn, a, b, **opts)
-    budget = max(budget_abs, 1e-9 * abs(val))
+    budget = max(1e-11, 1e-9 * abs(val))
     if err > budget:
         raise QuadratureFailure(
             f"quadrature error estimate {err:.2e} exceeds budget {budget:.2e}")
     return val
 
 
-def abel_transform(k: RadialKernel, u: float,
-                   budget_abs: float = 1e-11) -> float:
+def abel_transform(k: RadialKernel, u: float) -> float:
     """g(u) for the kernel k; even in u, zero for |u| >= support."""
     u = abs(float(u))
     S = k.support
@@ -112,12 +109,12 @@ def abel_transform(k: RadialKernel, u: float,
     split_rho = min(u + 1.0, S)
     v_split = math.sqrt(math.cosh(split_rho) - cu)
     total = _quad(lambda v: 2.0 * k.eval(math.acosh(cu + v * v)),
-                  0.0, v_split, budget_abs=budget_abs)
+                  0.0, v_split)
     if split_rho < S:
         total += _quad(
             lambda rho: k.eval(rho) * math.sinh(rho)
             / math.sqrt(math.cosh(rho) - cu),
-            split_rho, S, budget_abs=budget_abs)
+            split_rho, S)
     return math.sqrt(2.0) * total
 
 
@@ -170,7 +167,7 @@ def _abel_gl(k_spline, S: float, u: float, n_scale: float = 1.0) -> float:
     return math.sqrt(2.0) * total
 
 
-def selberg_forward(k: RadialKernel, cache_points: int = 800,
+def selberg_forward(k: RadialKernel,
                     error_budget: float = 1e-9) -> SpectralFunction:
     """The multiplier h with h(s) = Integral e^{isu} g(u) du, where g is
     the Abel transform of k.
@@ -192,7 +189,7 @@ def selberg_forward(k: RadialKernel, cache_points: int = 800,
     k_spline = CubicSpline(k_grid, np.asarray(k.eval(k_grid), dtype=float))
     # the uniform w-grid is coarsest in u near u = 0 (du = 2S/N there);
     # scale the cache so ringing of period ~2 pi/band is still resolved
-    cache_points = max(cache_points, int(52 * S))
+    cache_points = max(800, int(52 * S))
     w_grid = np.linspace(0.0, math.sqrt(S), cache_points)
     g_vals = np.array([_abel_gl(k_spline, S, S - w * w) for w in w_grid])
     # node-doubling check on a subsample of the grid
@@ -397,9 +394,9 @@ def heat_kernel_mass(t: float) -> float:
     return 2.0 * math.pi * val
 
 
-def heat_bound_constant(t: float, rho_range: float = 6.0) -> float:
+def heat_bound_constant(t: float) -> float:
     """The smallest C with p_t(rho) <= C e^{-rho^2} on a dense grid of
-    [0, rho_range].
+    [0, 6].
 
     The Gaussian comparison rate is 1 while the kernel's own far-field
     rate is 1/(4t), so for t > 1/4 no finite C works on all of
@@ -407,19 +404,18 @@ def heat_bound_constant(t: float, rho_range: float = 6.0) -> float:
     stated range.
     """
     spline, rho_max = _heat_profile(t)
-    grid = np.linspace(0.0, min(rho_range, rho_max), 4001)
+    grid = np.linspace(0.0, min(6.0, rho_max), 4001)
     return float(np.max(spline(grid) * np.exp(grid ** 2)))
 
 
-def spherical_oracle(s: float, r_max: float,
-                     ode_tolerance: float = 1e-8) -> SphericalOracle:
+def spherical_oracle(s: float, r_max: float) -> SphericalOracle:
     """The radial Laplace eigenfunction phi_s on [0, r_max]:
     phi'' + coth(r) phi' + (1/4 + s^2) phi = 0, phi(0) = 1.
 
     Built by a series start near 0 plus high-order adaptive ODE
     integration; validated against the first-integral identity
     phi'(r) = -(lambda / sinh r) * Integral_0^r phi sinh(rho) d rho
-    (OdeFailure if its residual exceeds ode_tolerance).
+    (OdeFailure if its residual exceeds 1e-8).
     """
     if r_max > 12.0:
         raise ValueError("r_max must be <= 12 (numerical range)")
@@ -451,13 +447,8 @@ def spherical_oracle(s: float, r_max: float,
     cumint = cumulative_simpson(integrand, x=r_full, initial=0.0)
     resid = np.abs(dphi_full[1:] + lam * cumint[1:] / np.sinh(r_full[1:]))
     max_resid = float(resid.max())
-    if max_resid > ode_tolerance:
+    if max_resid > 1e-8:
         raise OdeFailure(
             f"first-integral residual {max_resid:.2e} exceeds tolerance "
-            f"{ode_tolerance:.2e}")
-
-    table = np.column_stack([r_full, phi_full, dphi_full])
-    oracle = SphericalOracle(s=float(s), table=table,
-                             ode_tolerance=ode_tolerance)
-    oracle._spline = CubicSpline(r_full, phi_full)
-    return oracle
+            "1.00e-08")
+    return SphericalOracle(s=float(s), _spline=CubicSpline(r_full, phi_full))

@@ -165,9 +165,9 @@ def c_of_s_by_parts(s: float) -> float:
 
 
 def verify_period_bound(I: SpectralInterval, k_max: int,
-                        tol: float = 1e-6, grid_n: int = 256):
+                        grid_n: int = 256):
     """c_I = min of c(s) over the s-grid on I, and the smallest k0 such
-    that h_{t_k}(s) < -2 c_I + tol for all grid s and all k in
+    that h_{t_k}(s) < -2 c_I + 1e-6 for all grid s and all k in
     [k0, k_max].
 
     Raises BoundNotReached (listing violating (k, s) pairs) when even
@@ -182,7 +182,7 @@ def verify_period_bound(I: SpectralInterval, k_max: int,
     for k in range(1, k_max + 1):
         t_k = 2.0 * math.pi * k / s_grid
         h_vals = h_t_grid(t_k, s_grid)
-        bad = h_vals >= -2.0 * c_I + tol
+        bad = h_vals >= -2.0 * c_I + 1e-6
         if bad.any():
             ok_k.append(False)
             violations.extend((k, float(s)) for s in s_grid[bad][:4])

@@ -96,14 +96,15 @@ def winding_displacement(k_mL: float, rho) -> np.ndarray:
     return 2.0 * np.arcsinh(math.sinh(0.5 * k_mL) * np.cosh(rho))
 
 
-def cylinder_geometric_side(L: float, W: float, t: float, degree: int = 1,
-                            k_max: int = 40) -> float:
+def cylinder_geometric_side(L: float, W: float, t: float,
+                            degree: int = 1) -> float:
     """Integral over the truncated cylinder of the winding heat sum:
     Sum_{k != 0} Integral_{-W}^{W} m L p_t(d_k(rho)) cosh(rho) d rho,
-    by direct quadrature of the closed displacement law."""
+    by direct quadrature of the closed displacement law, over windings
+    |k| <= 40 until a term falls below 1e-15 of the sum."""
     mL = degree * L
     total = 0.0
-    for k in range(1, k_max + 1):
+    for k in range(1, 41):
         val, _ = integrate.quad(
             lambda rho: float(heat_kernel(
                 t, winding_displacement(k * mL, rho))) * math.cosh(rho),

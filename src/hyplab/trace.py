@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureFailure, IllConditioned
 from .geom import Point
-from .fuchsian import (GroupSpec, group_ball, systole, domain_volume,
+from .fuchsian import (GroupSpec, dirichlet_domain, group_ball, systole,
                        _displacement, _domain_samples)
 from .selberg import heat_kernel, _heat_profile
 
@@ -142,20 +142,17 @@ def lattice_count_bound(R: float, ell: float) -> float:
     return (math.cosh(R + half) - 1.0) / (math.cosh(half) - 1.0)
 
 
-def _geometric_tail_bound(G: GroupSpec, t: float, R: float,
-                          ell: float = None) -> float:
+def _geometric_tail_bound(G: GroupSpec, t: float, R: float) -> float:
     """Certified bound for the omitted heat mass beyond displacement R:
-    shell counts from the lattice bound times the (decreasing) kernel at
-    the shell's inner radius.  The default ell is the exact systole,
-    so the lattice bound holds.
+    shell counts from the lattice bound, at the exact systole ell, times
+    the (decreasing) kernel at the shell's inner radius.
 
     A group with one generator gamma is cyclic, and its count within r
     is also at most 2 floor(r / ell) + 1, which grows like r instead of
     e^r.  Proof: gamma^k is hyperbolic with translation length
     |k| ell(gamma) >= |k| ell, and moves every point at least that far,
     so d(z, gamma^k z) <= r forces |k| <= r / ell."""
-    if ell is None:
-        ell = systole(G, search_radius=4.0)
+    ell = systole(G, search_radius=4.0)
     cyclic = len(G.generators) == 1
     _, rho_max = _heat_profile(t)
     total = 0.0
@@ -187,12 +184,13 @@ def geometric_side_domain_integral(G: GroupSpec, t: float, R: float,
     geometric side: Vol(D) times the domain average of
     Sum_gamma p_t(d(z, gamma z)).
 
-    Returns (value, mc_error, tail_bound); the ball is enumerated once
-    at the base point with radius covering every sample.
+    Returns (value, mc_error, tail_bound), with Vol(D) exact from
+    ``dirichlet_domain``; the ball is enumerated once at the base point
+    with radius covering every sample.
     """
-    ball = group_ball(G, G.base_point, R + 2.0 * G.domain_radius)
+    vol_D, radius = dirichlet_domain(G)
+    ball = group_ball(G, G.base_point, R + 2.0 * radius)
     zc = _domain_samples(G, n, seed)
-    vol_D, _ = domain_volume(G, n=4000, seed=seed + 1)
     disp = _displacement(ball.matrices(), zc)
     # count each element only while inside its own ball radius R
     contrib = np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0)
@@ -264,34 +262,21 @@ def smoothed_window(lam_lo: float, lam_hi: float, eps: float = 0.05):
     return f
 
 
-def eigencount_estimate(G: GroupSpec, E, interval, K: int = 40,
-                        eps: float = 0.05, R: float = 6.0,
-                        n: int = 2000, seed: int = 7):
-    """Number of eigenvalues in ``interval`` = (lam_lo, lam_hi) of an
-    interval inside (1/4, inf).
+def eigencount_estimate(G: GroupSpec, E: EigenData, interval):
+    """Number of ingested eigenvalues of the surface G in ``interval`` =
+    (lam_lo, lam_hi), an interval inside (1/4, inf).
 
-    Returns (estimate, weyl): with eigen-data the estimate is the exact
-    count; without it, the smoothed Weyl term plus the geometric
-    correction Sum_k a_k * Integral_D geometric_side(t_k + 1) obtained
-    from the exponential-sum fit of the smoothed window.
+    Returns (count, weyl): the exact count from the eigen-data E, and
+    the Weyl term E.volume * weyl_density of the window smoothed by
+    ramps of width 0.05.
     """
+    if E is None:
+        raise ValueError("eigencount_estimate needs eigen-data")
     lam_lo, lam_hi = interval
     if not 0.25 < lam_lo < lam_hi:
         raise ValueError("interval must lie in (1/4, inf)")
-    f = smoothed_window(lam_lo, lam_hi, eps)
-    quad_limit = math.sqrt(lam_hi + eps) + 1.0
-    if E is not None:
-        vol = E.volume
-    else:
-        vol, _ = domain_volume(G, n=4000, seed=seed + 1)
-    weyl = vol * weyl_density(f, quad_limit)
-    if E is not None:
-        ev = E.eigenvalues
-        estimate = float(np.count_nonzero((ev >= lam_lo) & (ev <= lam_hi)))
-        return estimate, weyl
-    fit = exp_sum_fit(f, K, (0.0, lam_hi + 1.0))
-    correction = 0.0
-    for a_k, t_k in zip(fit.coefficients, fit.rates):
-        geom, _, _ = geometric_side_domain_integral(G, t_k + 1.0, R, n, seed)
-        correction += a_k * geom
-    return weyl + correction, weyl
+    eps = 0.05
+    weyl = E.volume * weyl_density(smoothed_window(lam_lo, lam_hi, eps),
+                                   math.sqrt(lam_hi + eps) + 1.0)
+    ev = E.eigenvalues
+    return float(np.count_nonzero((ev >= lam_lo) & (ev <= lam_hi))), weyl

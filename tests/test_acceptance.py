@@ -17,7 +17,7 @@ from scipy.special import roots_legendre
 from hyplab import selberg
 from hyplab.geom import Point, ball_volume, polar_from, hyp_dist
 from hyplab.fuchsian import (builtin_group, group_ball, dirichlet_mask,
-                             systole)
+                             dirichlet_domain, systole)
 from hyplab.selberg import (RadialKernel, disc_kernel, heat_multiplier,
                             selberg_forward, selberg_inverse,
                             spherical_oracle, heat_kernel,
@@ -279,12 +279,13 @@ def test_criterion_09_group_enumeration(cyclic_group, bolza_group):
     mats = np.asarray(mats)
     counts = np.zeros(len(zc))
     z0c = G.base_point.as_complex
+    radius = dirichlet_domain(G)[1]
     for a, b, c, d in mats:
         w = (a * zc + b) / (c * zc + d)
         # only translates inside the covering ball can lie in the domain
         near = np.arccosh(1.0 + np.abs(w - z0c) ** 2
                           / (2.0 * w.imag * G.base_point.y)) \
-            <= G.domain_radius + 1e-9
+            <= radius + 1e-9
         if near.any():
             counts[near] += dirichlet_mask(G, w[near])
     mass = float(counts.mean())

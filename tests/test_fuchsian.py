@@ -17,7 +17,7 @@ from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
 from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
                              save_group, group_ball, injectivity_radius,
                              dirichlet_mask, reduce_to_domain, systole,
-                             thin_part_fraction, domain_volume,
+                             thin_part_fraction, dirichlet_domain,
                              min_displacement_batch, _doubled_generators,
                              _DEDUP_TOL)
 from hyplab.trace import lattice_count_bound
@@ -41,6 +41,13 @@ def test_group_spec_roundtrip(tmp_path, cyclic_group):
     assert len(G2.generators) == len(cyclic_group.generators)
     for g, h in zip(G2.generators, cyclic_group.generators):
         assert g.approx_eq(h, tol=1e-12)
+    # the domain is computed, so a typed-in radius is an unknown key,
+    # ignored like any other
+    doc = json.loads(path.read_text())
+    assert "domain_radius" not in doc
+    doc["domain_radius"] = 2.5
+    path.write_text(json.dumps(doc))
+    assert load_group(path) == G2
 
 
 def test_cyclic_ball_matches_brute_force(cyclic_group):
@@ -200,9 +207,12 @@ def test_lattice_count_bound_value():
 
 
 def test_octagon_domain_volume(bolza_group):
-    # genus-2 surface: area 4 pi (Gauss-Bonnet)
-    vol, err = domain_volume(bolza_group, n=20_000, seed=3)
-    assert abs(vol - 4.0 * math.pi) <= 4.0 * err + 1e-9
+    """Genus 2: area 4 pi by Gauss-Bonnet; the domain is the regular
+    octagon, whose circumradius is arccosh((1 + sqrt 2)^2)."""
+    area, radius = dirichlet_domain(bolza_group)
+    assert area == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert radius == pytest.approx(math.acosh((1.0 + math.sqrt(2.0)) ** 2),
+                                   rel=1e-12)
 
 
 def test_cylinder_domain_volume(cyclic_group):
@@ -210,12 +220,30 @@ def test_cylinder_domain_volume(cyclic_group):
     coordinates (s along the axis, rho across it),
     {|s| < 1, cosh s cosh rho <= cosh 3}, with area element
     cosh rho ds drho."""
-    area, _ = integrate.quad(
+    exact, _ = integrate.quad(
         lambda s: 2.0 * math.sinh(math.acosh(math.cosh(3.0) / math.cosh(s))),
         -1.0, 1.0, epsabs=1e-13)
-    assert area == pytest.approx(34.630790, abs=1e-6)
-    vol, err = domain_volume(cyclic_group, n=20_000, seed=5)
-    assert abs(vol - area) <= 4.0 * err
+    assert exact == pytest.approx(34.630790, abs=1e-6)
+    area, radius = dirichlet_domain(cyclic_group)
+    assert area == pytest.approx(exact, rel=1e-9)
+    assert radius == 3.0
+
+
+@pytest.mark.parametrize("name", ["bolza", "cyclic_L2"])
+def test_dirichlet_domain_agrees_with_the_mask(name):
+    """Independently of the envelope: the membership mask's hit fraction
+    on B(z0, 3), which covers both domains, times the ball's area."""
+    G = builtin_group(name)
+    area, radius = dirichlet_domain(G)
+    n = 20_000
+    zc = sample_ball_complex(G.base_point, 3.0, n, seed=4)
+    hit = dirichlet_mask(G, zc)
+    frac = float(hit.mean())
+    vol = 2.0 * math.pi * (math.cosh(3.0) - 1.0)
+    assert abs(vol * frac - area) <= 4.0 * vol * math.sqrt(
+        frac * (1.0 - frac) / n)
+    dist = _dist_c(G.base_point.as_complex, zc[hit])
+    assert dist.max() <= radius + 1e-12
 
 
 def test_thin_part_empty_below_half_systole(bolza_group):
@@ -278,3 +306,12 @@ def test_group_spec_validation():
         GroupSpec(generators=())
     with pytest.raises(ValueError):
         group_ball(builtin_group("cyclic_L2"), Point(0, 1), -1.0)
+    # a Schottky group (free, not cocompact): translations of length 4
+    # along two perpendicular axes through i leave gaps between the four
+    # bisectors, so the domain is unbounded
+    e = math.exp(2.0)
+    A = MobiusElement(e, 0.0, 0.0, 1.0 / e)
+    K = MobiusElement(math.cos(math.pi / 4), math.sin(math.pi / 4),
+                      -math.sin(math.pi / 4), math.cos(math.pi / 4))
+    with pytest.raises(ValueError, match="unbounded"):
+        dirichlet_domain(GroupSpec(generators=(A, K @ A @ K.inverse())))
