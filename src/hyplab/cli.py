@@ -111,6 +111,14 @@ def _load_group(name_or_path) -> fuchsian.GroupSpec:
     return fuchsian.builtin_group(name_or_path)
 
 
+def _record_domain(run, G):
+    """The Dirichlet domain the command sampled or searched, under
+    diagnostics.domain."""
+    dom = fuchsian._domain(G)
+    run.diagnostics["domain"] = {"area": dom.area, "radius": dom.radius,
+                                 "sides": dom.sides.shape[1]}
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_geom_check(run, args):
@@ -176,6 +184,8 @@ def _cmd_group(run, args):
                                                 args.seed)
         run.json("thin_part.json", {"group": G.name, "R": args.radius,
                                     "fraction": frac, "error": err})
+    if args.action in ("systole", "thin-part"):
+        _record_domain(run, G)
 
 
 def _kernel_by_name(name, t):
@@ -282,6 +292,8 @@ def _cmd_propagator(run, args):
             "lhs_error": lhs.error, "rhs_error": rhs.error,
             "deviation_sigmas": abs(lhs.value - rhs.value)
             / max(sigma, 1e-300)})
+    if args.action in ("hs", "ergodic-decay", "midpoint-check"):
+        _record_domain(run, G)
 
 
 def _cmd_spectral_action(run, args):

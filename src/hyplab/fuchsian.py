@@ -34,12 +34,24 @@ d(z, gamma z0) >= d_g - d(z, z0) > c >= d(z, z0): gamma cuts nothing,
 and D = D_R.  A one-generator group's domain (a strip) is truncated to
 B(z0, 3) by capping rho at 3, and the argument holds with c = 3.
 
+Membership (``dirichlet_mask``) tests z against the sides of D only: the
+elements whose bisectors attain the envelope's minimum on an arc.  A
+compact D is a convex polygon, so it is the intersection of the
+half-planes H_g = {z : d(z, z0) < d(z, g z0)} of its sides (a set closed
+under inversion, as g maps the side on the bisector of z0 and g^-1 z0
+onto the one of g).  For a one-generator group, whose D is a strip,
+D = H_g cap H_{g^-1}: in Fermi coordinates about the axis of g,
+n -> cosh d(z, g^n z0) = A cosh(n ell + s) + B with A > 0 is convex in
+n, so if n = 0 beats n = 1 and n = -1 it beats every n != 0.  The
+envelope's winners are then exactly g and g^-1, so one path serves both.
+
 Reduction (``reduce_to_domain``) moves z to the gamma z nearest the base
-point z0, searching only gamma with d(z0, gamma z0) <= 2 d(z0, z).  Proof:
-a minimizer, and likewise any gamma violating the strict Dirichlet
-inequality d(z0, z) < d(z0, gamma z), has d(z0, gamma z) <= d(z0, z), so
-d(z0, gamma z0) <= d(z0, gamma z) + d(gamma z, gamma z0) <= 2 d(z0, z).
-No covering assumption enters: it holds for unbounded domains too.
+point z0, searching only gamma with
+d(z0, gamma z0) <= min(2 d(z0, z), c + d(z0, z)), c the covering radius
+of D (infinite for a truncated D).  Proof: a minimizer has
+d(z0, gamma z) <= d(z0, z), as the identity competes, and puts gamma z
+in the closed domain, so d(z0, gamma z) <= c as well; then
+d(z0, gamma z0) <= d(z0, gamma z) + d(gamma z, gamma z0).
 """
 
 from __future__ import annotations
@@ -49,13 +61,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EnumerationTruncated
 from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK,
-                   _canonical_batch, _dist_c, _mobius_batch, mobius_apply,
-                   polar_to, sample_ball_complex)
+                   _canonical_batch, _disc_chart, _dist_c, _mobius_batch,
+                   mobius_apply, polar_to, sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
 # floating-point error (~1e-9 for entries of size e^{R/2} at word length
@@ -323,59 +336,95 @@ def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
 def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
     """Move each complex point z into the closed Dirichlet domain at the
     base point z0 by the gamma in {id} and the ball of radius
-    2 max d(z0, z) minimizing d(z0, gamma z), the first on ties (the
-    module docstring proves the radius suffices).  Returns (gamma z, the
-    same gamma applied to ``companion`` or None, mask of the z in the
-    open domain: d(z0, z) < d(z0, gamma z) for every gamma != id)."""
+    min(2 m, c + m) minimizing d(z0, gamma z), the first on ties, where
+    m = max d(z0, z) and c is D's covering radius, infinite when D is
+    truncated (the module docstring proves the radius suffices).
+    Returns (gamma z, the same gamma applied to ``companion`` or None).
+    ValueError, as from ``dirichlet_domain``, if D is unbounded."""
     zc = np.asarray(zc)
     z0c = G.base_point.as_complex
-    dz = _dist_c(np.full(zc.shape, z0c), zc)
-    ball = group_ball(G, G.base_point,
-                      _ball_radius(2.0 * float(dz.max(initial=0.0))))
+    far = float(_dist_c(np.full(zc.shape, z0c), zc).max(initial=0.0))
+    ball = group_ball(G, G.base_point, _ball_radius(
+        min(2.0 * far, _domain(G).covering + far)))
     mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
     moved = np.empty_like(zc)
     moved_comp = None if companion is None else np.empty_like(companion)
-    mask = np.empty(zc.shape, dtype=bool)
     # blocks of points keep the (len(mats), block) temporaries bounded
     step = max(1, _SAMPLE_BLOCK // len(mats))
     for lo in range(0, len(zc), step):
         blk = slice(lo, lo + step)
         gz = _mobius_batch(mats, zc[blk])
-        dists = _dist_c(np.full(gz.shape, z0c), gz)
-        mask[blk] = np.all(dz[None, blk] < dists[1:], axis=0)
-        pick = np.argmin(dists, axis=0)
+        pick = np.argmin(_dist_c(np.full(gz.shape, z0c), gz), axis=0)
         idx = np.arange(len(pick))
         moved[blk] = gz[pick, idx]
         if companion is not None:
             moved_comp[blk] = _mobius_batch(mats, companion[blk])[pick, idx]
-    return moved, moved_comp, mask
+    return moved, moved_comp
 
 
 def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
     """Whether each complex point lies in the open Dirichlet domain
     centered at the base point z0: d(z0, z) < d(z0, gamma z) for every
-    nontrivial gamma (see ``reduce_to_domain``)."""
-    return reduce_to_domain(G, zc)[2]
+    nontrivial gamma, tested against the sides of D only (module
+    docstring).  With w the disc-chart point of z about z0 and gamma z0
+    at tanh(d_g/2) e^{i theta_g}, z lies on z0's side of their bisector
+    iff 2 Re(w e^{-i theta_g}) < tanh(d_g/2) (1 + |w|^2).  ValueError,
+    as from ``dirichlet_domain``, if D is unbounded."""
+    cos_g, sin_g, tanh_g = _domain(G).sides[:, :, None]
+    zc = np.asarray(zc)
+    mask = np.empty(zc.shape, dtype=bool)
+    # blocks of points keep the (sides, block) temporaries bounded
+    step = max(1, _SAMPLE_BLOCK // len(cos_g))
+    for lo in range(0, len(zc), step):
+        blk = slice(lo, lo + step)
+        w = _disc_chart(G.base_point.as_complex, zc[blk])
+        u, v = w.real, w.imag
+        mask[blk] = np.all(
+            2.0 * (u * cos_g + v * sin_g) < tanh_g * (1.0 + (u * u + v * v)),
+            axis=0)
+    return mask
+
+
+class _Domain(NamedTuple):
+    """The Dirichlet domain D at the base point, as ``_envelope`` finds
+    it: area, radius of the least ball about z0 covering the (possibly
+    truncated) D, covering radius of D itself (infinite when truncated)
+    and, per side, rows cos theta_g, sin theta_g, tanh(d_g/2) of the
+    polar coordinates of gamma z0 (read-only, shape (3, sides))."""
+
+    area: float
+    radius: float
+    covering: float
+    sides: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
+def _domain(G: GroupSpec) -> _Domain:
+    cap = 3.0 if len(G.generators) == 1 else math.inf
+    # the generators' region bounds D's radius by c, so every gamma that
+    # can cut D lies in the ball of radius 2c
+    c = _envelope(G, _doubled_generators(G)[0], cap)[1]
+    ball = group_ball(G, G.base_point, _ball_radius(2.0 * c))
+    area, radius, sides = _envelope(G, [g for g, _ in ball.elements], cap)
+    sides.setflags(write=False)
+    return _Domain(area, radius, radius if cap == math.inf else math.inf,
+                   sides)
+
+
 def dirichlet_domain(G: GroupSpec) -> tuple:
     """(area, radius) of the Dirichlet domain D at the base point z0:
     its exact area and the least radius of a ball about z0 covering it
     (module docstring).  A one-generator group's D is truncated to
     B(z0, 3), of radius 3.0.  ValueError if the generators alone leave D
     unbounded."""
-    cap = 3.0 if len(G.generators) == 1 else math.inf
-    # the generators' region bounds D's radius by c, so every gamma that
-    # can cut D lies in the ball of radius 2c
-    _, c = _envelope(G, _doubled_generators(G)[0], cap)
-    ball = group_ball(G, G.base_point, _ball_radius(2.0 * c))
-    return _envelope(G, [g for g, _ in ball.elements], cap)
+    return _domain(G)[:2]
 
 
 def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
-    """(area, radius) of the region about z0 cut out by the bisectors of
-    z0 and gamma z0 for the given elements, and by rho <= cap."""
+    """(area, radius, sides) of the region about z0 cut out by the
+    bisectors of z0 and gamma z0 for the given elements, and by
+    rho <= cap; sides holds rows cos theta_g, sin theta_g, tanh(d_g/2)
+    of each element whose bisector attains the minimum on some arc."""
     z0 = G.base_point
     theta, d = np.array([polar_to(z0, mobius_apply(g, z0))
                          for g in elements]).T
@@ -413,7 +462,12 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
     if not side.all():
         area += (math.cosh(cap) - 1.0) * float((hi - lo)[~side].sum())
         radius = cap
-    return area, radius
+    # The sides win the arcs bounded by a bisector, beyond the cap too,
+    # as the mask tests the untruncated D.  Where several bisectors meet
+    # at a vertex their computed crossings differ by a few ulps of 2 pi,
+    # leaving arcs that short on which any of them may win.
+    sides = np.unique(k[np.isfinite(rho) & (hi - lo > 1e-9)])
+    return area, radius, np.stack([np.cos(theta), np.sin(theta), T])[:, sides]
 
 
 def systole(G: GroupSpec, search_radius: float) -> float:

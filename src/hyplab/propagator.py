@@ -204,7 +204,7 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
     # Reduce the midpoint frame to the fundamental domain: translate m
     # into D and transport the direction by the same group element, so
     # that angle-dependent test functions are evaluated on quotient data.
-    mc, zpc, _ = reduce_to_domain(G, mc, zpc)
+    mc, zpc = reduce_to_domain(G, mc, zpc)
     # direction at the (reduced) midpoint: angle of z' seen from m
     theta_m = np.angle(_disc_chart(mc, zpc)) % TWO_PI
     sep = 2.0 * _dist_c(mc, zpc)  # isometry-invariant separation

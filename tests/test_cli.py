@@ -188,6 +188,26 @@ def test_trace_manifest_records_spectrum(tmp_path, action, extra, lam_max,
         assert e["seconds"] >= 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "systole", "--group", "bolza", "--search-radius", "1"],
+    ["group", "thin-part", "--group", "bolza", "--radius", "0.8",
+     "--n", "200"],
+    ["propagator", "midpoint-check", "--n", "200"],
+    ["propagator", "hs", "--n", "20"],
+    ["propagator", "ergodic-decay", "--group", "bolza", "--n", "20"]],
+    ids=["systole", "thin-part", "midpoint-check", "hs", "ergodic-decay"])
+def test_manifest_records_domain(tmp_path, argv):
+    from hyplab.fuchsian import builtin_group, dirichlet_domain
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 0
+    group = argv[argv.index("--group") + 1] if "--group" in argv \
+        else "cyclic_L2"
+    area, radius = dirichlet_domain(builtin_group(group))
+    assert read_manifest(out)["diagnostics"]["domain"] == {
+        "area": area, "radius": radius,
+        "sides": 8 if group == "bolza" else 2}
+
+
 def test_qe_subcommand(tmp_path):
     import numpy as np
     from hyplab.synthetic import flat_mesh_eigendata

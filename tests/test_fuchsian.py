@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from hyplab import fuchsian
 from hyplab.cli import run
 from hyplab.errors import EnumerationTruncated
 from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
@@ -20,6 +21,7 @@ from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
                              thin_part_fraction, dirichlet_domain,
                              min_displacement_batch, _doubled_generators,
                              _DEDUP_TOL)
+from hyplab.propagator import midpoint_change_of_var_check
 from hyplab.trace import lattice_count_bound
 
 # the octagon surface: systole = 2 acosh(1 + sqrt 2)
@@ -262,13 +264,45 @@ def test_dirichlet_mask_basics(bolza_group):
     assert not dirichlet_mask(G, np.array([far]))[0]
 
 
+def _test_points(G, name, seed):
+    """400 points of B(z0, 4); for cyclic_L2 also 400 points up to
+    distance 6 along its strip, half of them outside it: Fermi
+    coordinates (s, rho) about the axis, at e^s (tanh rho + i sech rho),
+    with |s| < 2 (the strip is |s| < 1) and |rho| < 4.5."""
+    zc = sample_ball_complex(G.base_point, 4.0, 400, seed=seed)
+    if name == "cyclic_L2":
+        rng = np.random.default_rng(seed)
+        s, rho = rng.uniform(-2.0, 2.0, 400), rng.uniform(-4.5, 4.5, 400)
+        zc = np.concatenate(
+            [zc, np.exp(s) * (np.tanh(rho) + 1j / np.cosh(rho))])
+    return zc
+
+
+@pytest.mark.parametrize("name", ["bolza", "cyclic_L2"])
+def test_dirichlet_mask_is_the_brute_force_mask(name):
+    """The side mask equals d(z0, z) < d(z0, gamma z) for every gamma of
+    the R = 9 ball, which holds every gamma that can violate it for z
+    within 4 of z0 and, for the strip, g and g^-1."""
+    G = builtin_group(name)
+    z0c = G.base_point.as_complex
+    zc = _test_points(G, name, 1)
+    gz = _mobius_batch(group_ball(G, G.base_point, 9.0).matrices(), zc)
+    mask = dirichlet_mask(G, zc)
+    assert np.array_equal(mask,
+                          np.all(_dist_c(z0c, zc) < _dist_c(z0c, gz), axis=0))
+    assert 0 < mask.sum() < len(zc)
+    assert not fuchsian._domain(G).sides.flags.writeable
+    empty = dirichlet_mask(G, np.array([], dtype=complex))
+    assert empty.shape == (0,) and empty.dtype == bool
+
+
 @pytest.mark.parametrize("name", ["bolza", "cyclic_L2"])
 def test_reduce_to_domain_is_the_brute_force_argmin(name):
     G = builtin_group(name)
     z0c = G.base_point.as_complex
-    zc = sample_ball_complex(G.base_point, 4.0, 400, seed=1)
-    comp = sample_ball_complex(G.base_point, 4.0, 400, seed=2)
-    moved, moved_comp, mask = reduce_to_domain(G, zc, comp)
+    zc = _test_points(G, name, 1)
+    comp = _test_points(G, name, 2)
+    moved, moved_comp = reduce_to_domain(G, zc, comp)
     # brute force over the R = 9 ball, the identity first
     mats = np.vstack([np.eye(2).reshape(-1),
                       group_ball(G, G.base_point, 9.0).matrices()])
@@ -278,18 +312,33 @@ def test_reduce_to_domain_is_the_brute_force_argmin(name):
     # the images of two points fix the element
     assert np.array_equal(moved, gz[pick, idx])
     assert np.array_equal(moved_comp, _mobius_batch(mats, comp)[pick, idx])
-    assert np.array_equal(mask, np.all(_dist_c(z0c, zc) < dists[1:], axis=0))
-    assert 0 < mask.sum() < len(zc)
     assert np.allclose(_dist_c(moved, moved_comp), _dist_c(zc, comp),
                        rtol=0, atol=1e-9)
 
 
 def test_reduce_to_domain_empty_input(bolza_group):
     empty = np.array([], dtype=complex)
-    moved, moved_comp, mask = reduce_to_domain(bolza_group, empty, empty)
-    assert moved.shape == moved_comp.shape == mask.shape == (0,)
-    assert mask.dtype == bool
+    moved, moved_comp = reduce_to_domain(bolza_group, empty, empty)
+    assert moved.shape == moved_comp.shape == (0,)
     assert reduce_to_domain(bolza_group, empty)[1] is None
+
+
+def test_midpoint_reduction_ball_is_c_plus_max_d(bolza_group, monkeypatch):
+    """A midpoint of z in D and z' in B(z, 2) lies within c + 1 of z0,
+    c = 2.448 the covering radius, so the reduction ball has radius at
+    most 2c + 1 = 5.9, rounded up to 6.0; 2 max d(z0, m) asks for 6.5
+    at these arguments."""
+    radii = []
+    build = fuchsian._group_ball_cached
+
+    def spy(G, z, R):
+        radii.append(R)
+        return build(G, z, R)
+
+    monkeypatch.setattr(fuchsian, "_group_ball_cached", spy)
+    midpoint_change_of_var_check(lambda mc, theta, r: np.exp(-r), 2.0,
+                                 bolza_group, 2000, 1)
+    assert max(radii) == 6.0
 
 
 def test_min_displacement_batch(bolza_group):
