@@ -1,13 +1,13 @@
 """The disc-averaging propagator P_t, the kernel of P_t a P_t, lens
-(ball-intersection) volumes, the midpoint change of variables,
-Hilbert-Schmidt estimators split by injectivity radius, and empirical
-ergodic-average decay.
+(ball-intersection) volumes in closed form and by Monte Carlo, the
+midpoint change of variables, and two pair estimators batched over one
+lens sampler: the Hilbert-Schmidt norm split by injectivity radius and
+empirical ergodic-average decay.
 
 P_t u(z) = (cosh t)^{-1/2} Integral_{B(z,t)} u d mu, so the kernel of
 P_t a P_t is (cosh t)^{-1} Integral_{B(z,t) cap B(w,t)} a d mu, which
-vanishes identically once d(z,w) > 2t.  Lens geometry uses the
-hyperbolic Pythagoras relation cosh rho = cosh t / cosh(r/2) for the
-perpendicular half-width rho of the lens with center separation r.
+vanishes identically once d(z,w) > 2t.  The lens with center separation
+r has perpendicular half-width rho, cosh rho = cosh t / cosh(r/2).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .geom import (Point, ball_volume, hyp_dist, _dist_c, _disc_chart,
                    _disc_chart_inv, _polar_batch, polar_from, polar_to,
-                   sample_ball_complex, TWO_PI)
+                   sample_ball_complex, TWO_PI, _SAMPLE_BLOCK)
 from .fuchsian import (GroupSpec, dirichlet_domain, systole,
                        thin_part_fraction, reduce_to_domain, _domain_samples)
 from .selberg import _gauss_legendre
@@ -49,6 +49,13 @@ class MCEstimate:
     def __float__(self):
         return self.value
 
+    @classmethod
+    def of(cls, vals, scale: float) -> "MCEstimate":
+        """scale * mean(vals) with its standard error."""
+        return cls(value=scale * float(vals.mean()),
+                   error=scale * float(vals.std(ddof=1))
+                   / math.sqrt(len(vals)))
+
 
 def const_observable(c: float) -> Observable:
     return Observable(eval=lambda z: np.full(np.shape(z), float(c)),
@@ -66,22 +73,43 @@ def lens_halfwidth(t: float, r: float) -> float:
     return math.acosh(max(1.0, ratio))
 
 
+def lens_volume(t: float, r: float) -> float:
+    """Area of the lens B(z,t) cap B(w,t) at separation r = d(z, w):
+    4 alpha cosh t - 4 beta, with cos alpha = tanh(r/2) / tanh t,
+    sin beta = tanh rho / tanh t and rho = lens_halfwidth(t, r).
+
+    Proof: the lens is bounded by two arcs of radius t meeting at
+    vertices V at distance rho from the midpoint m.  The right triangle
+    z, m, V has angle alpha at z and pi/2 - beta at V, so each arc (normal
+    to its radius) meets the other at the interior angle 2 beta, and
+    turns by 2 alpha sinh t * coth t.  Gauss-Bonnet at curvature -1:
+    -area + 4 alpha cosh t + 2 (pi - 2 beta) = 2 pi.
+
+    The terms cancel as r -> 2t: against the quadrature
+    4 Int_0^{t-r/2} sinh(arccosh(cosh t / cosh(s + r/2))) ds the relative
+    error is below 1e-12 for r <= 2t - 0.1 with t <= 8, and below 4e-11
+    at r = 2t - 1e-4.
+    """
+    rho = lens_halfwidth(t, r)
+    # atan2 keeps both angles accurate near 0 and pi/2
+    alpha = math.atan2(math.sinh(rho), math.cosh(t) * math.tanh(0.5 * r))
+    beta = math.atan2(math.tanh(rho) * math.cosh(t), math.sinh(0.5 * r))
+    return 4.0 * alpha * math.cosh(t) - 4.0 * beta
+
+
 def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
     """Monte Carlo integral of a over B(z,t) cap B(w,t).
 
     Rejection from B(z,t); when the expected acceptance (lens volume /
     ball volume) is below 1%, sample instead from the ball around the
     lens midpoint with the Pythagoras half-width, which contains the
-    lens snugly.  Returns (integral, error, acceptance, lens volume),
-    the volume estimated from the same samples.
+    lens snugly.  Returns (integral, error, acceptance).
     """
     r = float(_dist_c(np.array(zc), np.array(wc)))
     if r > 2.0 * t:
-        return 0.0, 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0
     rho = lens_halfwidth(t, r)
-    vol_small = ball_volume(rho)
-    use_midpoint = vol_small < 0.01 * ball_volume(t)
-    if use_midpoint:
+    if ball_volume(rho) < 0.01 * ball_volume(t):
         theta, _ = polar_to(Point(zc.real, zc.imag), Point(wc.real, wc.imag))
         m = _polar_batch(Point(zc.real, zc.imag), np.array([theta]),
                          np.array([0.5 * r]))[0]
@@ -91,7 +119,7 @@ def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
         center = Point(zc.real, zc.imag)
         radius = t
     if radius <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0
     pts = sample_ball_complex(center, radius, n, seed)
     inside = ((_dist_c(pts, np.full(n, zc)) <= t)
               & (_dist_c(pts, np.full(n, wc)) <= t))
@@ -99,11 +127,7 @@ def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
     vol = ball_volume(radius)
     est = vol * float(vals.mean())
     err = vol * float(vals.std(ddof=1)) / math.sqrt(n)
-    acc = float(inside.mean())
-    return est, err, acc, vol * acc
-
-
-_EVAL_BLOCK = 1 << 16
+    return est, err, float(inside.mean())
 
 
 def apply_Pt(u: Observable, z: Point, t: float, n: int,
@@ -114,11 +138,9 @@ def apply_Pt(u: Observable, z: Point, t: float, n: int,
     pts = sample_ball_complex(z, t, n, seed)
     vals = np.empty(n)
     # blocks keep the observable's temporaries small enough to be reused
-    for j in range(0, n, _EVAL_BLOCK):
-        vals[j:j + _EVAL_BLOCK] = u.eval(pts[j:j + _EVAL_BLOCK])
-    scale = ball_volume(t) / math.sqrt(math.cosh(t))
-    return MCEstimate(value=scale * float(vals.mean()),
-                      error=scale * float(vals.std(ddof=1)) / math.sqrt(n))
+    for j in range(0, n, _SAMPLE_BLOCK):
+        vals[j:j + _SAMPLE_BLOCK] = u.eval(pts[j:j + _SAMPLE_BLOCK])
+    return MCEstimate.of(vals, ball_volume(t) / math.sqrt(math.cosh(t)))
 
 
 def kernel_PtaPt(a: Observable, z: Point, w: Point, t: float, n: int,
@@ -137,8 +159,7 @@ def kernel_PtaPt(a: Observable, z: Point, w: Point, t: float, n: int,
     if ball_volume(rho) < 1e-12:
         return MCEstimate(value=0.0, error=0.0,
                           extras={"degenerate": True, "acceptance": 0.0})
-    est, err, acc, _ = _lens_mc(a.eval, z.as_complex, w.as_complex, t, n,
-                                seed)
+    est, err, acc = _lens_mc(a.eval, z.as_complex, w.as_complex, t, n, seed)
     ct = math.cosh(t)
     return MCEstimate(value=est / ct, error=err / ct,
                       extras={"acceptance": acc})
@@ -150,8 +171,7 @@ def intersection_volume(t: float, r: float, n: int, seed: int) -> MCEstimate:
         raise ValueError("need 0 <= r <= 2t")
     zc = 1j
     wc = 1j * math.exp(r)  # vertical geodesic: d(i, i e^r) = r
-    est, err, acc, _ = _lens_mc(lambda p: np.ones(p.shape), zc, wc, t, n,
-                                seed)
+    est, err, acc = _lens_mc(lambda p: np.ones(p.shape), zc, wc, t, n, seed)
     return MCEstimate(value=est, error=err, extras={"acceptance": acc})
 
 
@@ -208,47 +228,38 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
     # direction at the (reduced) midpoint: angle of z' seen from m
     theta_m = np.angle(_disc_chart(mc, zpc)) % TWO_PI
     sep = 2.0 * _dist_c(mc, zpc)  # isometry-invariant separation
-    vals_lhs = np.asarray(f(mc, theta_m, sep), dtype=float)
-    scale_lhs = vol_D * ball_volume(R)
-    lhs = MCEstimate(value=scale_lhs * float(vals_lhs.mean()),
-                     error=scale_lhs * float(vals_lhs.std(ddof=1))
-                     / math.sqrt(n))
+    scale = vol_D * ball_volume(R)  # rhs: sinh weight via the radial CDF
+    lhs = MCEstimate.of(np.asarray(f(mc, theta_m, sep), dtype=float), scale)
 
     # rhs: m ~ uniform(D), theta ~ uniform, r ~ sinh density on [0, R]
     mc2 = _domain_samples(G, n, seed + 3)
     theta2 = TWO_PI * rng.random(n)
     r2 = np.arccosh(1.0 + rng.random(n) * (math.cosh(R) - 1.0))
-    vals_rhs = np.asarray(f(mc2, theta2, r2), dtype=float)
-    scale_rhs = vol_D * ball_volume(R)  # sinh weight via the radial CDF
-    rhs = MCEstimate(value=scale_rhs * float(vals_rhs.mean()),
-                     error=scale_rhs * float(vals_rhs.std(ddof=1))
-                     / math.sqrt(n))
+    rhs = MCEstimate.of(np.asarray(f(mc2, theta2, r2), dtype=float), scale)
     return lhs, rhs
 
 
-def _avg_kernel_at(a: Observable, zc: complex, wc: complex, T: float,
-                   t_nodes, t_wts, n_inner: int, seed: int) -> float:
-    """(1/T) Int_0^T [P_t a P_t](z, w) dt with one shared sample set:
-    points drawn from B(z, t_max) serve every time node via membership
-    indicators."""
-    t_max = float(t_nodes.max())
-    r = float(_dist_c(np.array(zc), np.array(wc)))
-    if r > 2.0 * t_max:
-        return 0.0
-    z0 = Point(zc.real, zc.imag)
-    pts = sample_ball_complex(z0, t_max, n_inner, seed)
-    dz = _dist_c(pts, np.full(n_inner, zc))
-    dw = _dist_c(pts, np.full(n_inner, wc))
-    avals = np.asarray(a.eval(pts), dtype=float)
-    vol = ball_volume(t_max)
-    total = 0.0
-    for t_j, w_j in zip(t_nodes, t_wts):
-        if r > 2.0 * t_j:
-            continue
-        mask = (dz <= t_j) & (dw <= t_j)
-        integral = vol * float(np.where(mask, avals, 0.0).mean())
-        total += w_j * integral / math.cosh(t_j)
-    return total / T
+def _pairs(G: GroupSpec, sep, n: int, seed: int, rng):
+    """(m, z, w) for n pairs at separations sep, m uniform in the domain."""
+    mc = _domain_samples(G, n, seed + 2)
+    fw = np.tanh(0.25 * sep) * np.exp(1j * TWO_PI * rng.random(n))
+    return mc, _disc_chart_inv(mc, fw), _disc_chart_inv(mc, -fw)
+
+
+def _lens_blocks(center, radius: float, zc, wc, n: int, rng):
+    """n uniform points of B(c, radius) for each (c, z, w) in
+    zip(center, zc, wc), drawn from rng in blocks of at most _SAMPLE_BLOCK
+    points.  Yields (pair slice, points, d) with d = max(d(p, z), d(p, w)):
+    p lies in the lens B(z,t) cap B(w,t) exactly when d <= t."""
+    step = max(1, _SAMPLE_BLOCK // n)
+    for j in range(0, len(center), step):
+        sl = slice(j, j + step)
+        shape = (len(center[sl]), n)
+        rho = np.arccosh(1.0 + rng.random(shape) * (math.cosh(radius) - 1.0))
+        w = np.tanh(0.5 * rho) * np.exp(1j * TWO_PI * rng.random(shape))
+        pts = _disc_chart_inv(center[sl, None], w)
+        d = np.maximum(_dist_c(pts, zc[sl, None]), _dist_c(pts, wc[sl, None]))
+        yield sl, pts, d
 
 
 def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
@@ -256,59 +267,53 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
     """Hilbert-Schmidt norm split for the time-averaged kernel
     K_T = (1/T) Int_0^T P_t a P_t dt.
 
-    main: Monte Carlo estimate of Integral_D Integral_H |K_T|^2 via the
-    midpoint change of variables, with |K_T|^2 estimated without bias by
-    the product of two independent 400-sample inner estimates over 64
-    Gauss-Legendre time nodes.  remainder_bound:
-    (e^{2R} / systole) * Vol(thin part below R) * sup|K_T|^2.
+    main: Integral_D Integral_H |K_T|^2 by the midpoint change of
+    variables; |K_T|^2 is estimated without bias by the product of two
+    independent 400-point estimates from B(z, t_max) over 64
+    Gauss-Legendre nodes t_j, where a point at lens distance d (see
+    _lens_blocks) carries C(d) = Sum_{t_j >= d} w_j / cosh t_j.
+    remainder_bound: (e^{2R} / systole) Vol(thin part below R) sup|K_T|^2.
     """
     if T <= 0.0 or R <= 0.0:
         raise ValueError("T and R must be positive")
     x, w = _gauss_legendre(64)
     t_nodes, t_wts = T * x, T * w
+    t_max = float(t_nodes[-1])
+    # C(d) for d at or below each node, then 0 beyond t_max
+    weight = np.cumsum(np.append(t_wts / np.cosh(t_nodes), 0.0)[::-1])[::-1]
     vol_D = dirichlet_domain(G)[0]
     rng = np.random.default_rng(seed)
     R_sep = 2.0 * T  # kernel support in separation
 
-    mc = _domain_samples(G, n, seed + 2)
-    theta = TWO_PI * rng.random(n)
     sep = np.arccosh(1.0 + rng.random(n) * (math.cosh(R_sep) - 1.0))
-    z_disc = np.tanh(0.25 * sep) * np.exp(1j * theta)
-    zc_arr = _disc_chart_inv(mc, z_disc)
-    wc_arr = _disc_chart_inv(mc, -z_disc)
-
+    _, zc, wc = _pairs(G, sep, n, seed, rng)
     prods = np.empty(n)
-    for i in range(n):
-        k1 = _avg_kernel_at(a, complex(zc_arr[i]), complex(wc_arr[i]), T,
-                            t_nodes, t_wts, 400, seed + 10_000 + 2 * i)
-        k2 = _avg_kernel_at(a, complex(zc_arr[i]), complex(wc_arr[i]), T,
-                            t_nodes, t_wts, 400, seed + 10_001 + 2 * i)
-        prods[i] = k1 * k2
-    scale = vol_D * ball_volume(R_sep)
-    main = scale * float(prods.mean())
-    main_err = scale * float(prods.std(ddof=1)) / math.sqrt(n)
+    for sl, pts, d in _lens_blocks(zc, t_max, zc, wc, 800, rng):
+        vals = np.asarray(a.eval(pts.ravel()), dtype=float) \
+            * weight[np.searchsorted(t_nodes, d.ravel())]
+        k = (ball_volume(t_max) / T) * vals.reshape(-1, 2, 400).mean(axis=2)
+        prods[sl] = k[:, 0] * k[:, 1]
+    main = MCEstimate.of(prods, vol_D * ball_volume(R_sep))
 
-    ell = systole(G, search_radius=4.0)
     thin_frac, thin_err = thin_part_fraction(G, R, 2000, seed + 5)
-    sup_K = a.sup_bound * float(
-        (t_wts * np.array([ball_volume(t) / math.cosh(t)
-                           for t in t_nodes])).sum()) / T
-    remainder = (math.exp(2.0 * R) / ell) * thin_frac * vol_D * sup_K ** 2
-    return (MCEstimate(value=main, error=main_err),
-            MCEstimate(value=remainder,
-                       error=(math.exp(2.0 * R) / ell) * thin_err * vol_D
-                       * sup_K ** 2))
+    # sup|K_T| <= sup|a| (1/T) Int_0^T ball_volume(t) / cosh t dt
+    sup_K = a.sup_bound * TWO_PI * (1.0 - math.atan(math.sinh(T)) / T)
+    factor = (math.exp(2.0 * R) / systole(G, search_radius=4.0)) \
+        * vol_D * sup_K ** 2
+    return main, MCEstimate(value=factor * thin_frac, error=factor * thin_err)
 
 
 def ergodic_average_decay(G: GroupSpec, a: Observable, t_list, r: float,
-                          n: int, seed: int, n_inner: int = 400):
+                          n: int, seed: int):
     """Empirical L^2 decay of lens averages of a mean-zero observable.
 
-    For each t: sample frames (z, theta) with z in the fundamental
-    domain; average a over the lens with centers at distance r/2 along
-    the geodesic through (z, theta) on both sides; report
-    (t, lens volume, L^2 deviation of the averages).  The observable's
-    quotient mean is estimated once and subtracted.
+    For each t: average a over lenses of separation r with midpoints m
+    uniform in the fundamental domain, from 400 points of B(m, rho) each,
+    rho = lens_halfwidth(t, r); report (t, lens_volume(t, r), L^2
+    deviation of the averages).  The observable's quotient mean is
+    estimated once and subtracted.  B(m, rho) contains the lens: in Fermi
+    coordinates (s, u) about its axis a lens point with s >= 0 has
+    cosh d(p, m) = cosh u cosh s <= cosh t cosh s / cosh(s + r/2) <= cosh rho.
     """
     if not r < 2.0 * min(t_list):
         raise ValueError("need r < 2 min(t)")
@@ -317,22 +322,15 @@ def ergodic_average_decay(G: GroupSpec, a: Observable, t_list, r: float,
     mean_a = float(np.asarray(a.eval(zc0), dtype=float).mean())
 
     rng = np.random.default_rng(seed)
-    zc = _domain_samples(G, n, seed + 2)
-    thetas = TWO_PI * rng.random(n)
-    # lens centers at distance r/2 forwards and backwards along theta
-    fw = np.tanh(0.25 * r) * np.exp(1j * thetas)
-    zf = _disc_chart_inv(zc, fw)
-    zb = _disc_chart_inv(zc, -fw)
-
+    mc, zf, zb = _pairs(G, r, n, seed, rng)
     rows = []
     for t in t_list:
-        vol = intersection_volume(t, r, 20_000, seed + 7).value
         sq = np.empty(n)
-        for i in range(n):
-            est, _, _, lens_vol_i = _lens_mc(
-                lambda p: np.asarray(a.eval(p)) - mean_a, complex(zf[i]),
-                complex(zb[i]), t, n_inner, seed + 50_000 + i)
-            sq[i] = (est / max(lens_vol_i, 1e-300)) ** 2
-        deviation = math.sqrt(float(sq.mean()))
-        rows.append((float(t), float(vol), deviation))
+        for sl, pts, d in _lens_blocks(mc, lens_halfwidth(t, r), zf, zb,
+                                       400, rng):
+            inside = d <= t
+            vals = np.asarray(a.eval(pts.ravel()), dtype=float) - mean_a
+            total = np.where(inside, vals.reshape(d.shape), 0.0).sum(axis=1)
+            sq[sl] = (total / np.maximum(inside.sum(axis=1), 1)) ** 2
+        rows.append((float(t), lens_volume(t, r), math.sqrt(float(sq.mean()))))
     return rows

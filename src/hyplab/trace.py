@@ -262,8 +262,8 @@ def smoothed_window(lam_lo: float, lam_hi: float, eps: float = 0.05):
     return f
 
 
-def eigencount_estimate(G: GroupSpec, E: EigenData, interval):
-    """Number of ingested eigenvalues of the surface G in ``interval`` =
+def eigencount_estimate(E: EigenData, interval):
+    """Number of the ingested eigenvalues E in ``interval`` =
     (lam_lo, lam_hi), an interval inside (1/4, inf).
 
     Returns (count, weyl): the exact count from the eigen-data E, and

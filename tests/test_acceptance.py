@@ -319,7 +319,7 @@ def test_criterion_10_pretrace_consistency(cyclic_group):
             f"t={t}: diff {abs(diff_spectral - diff_geometric):.1e}")
     # exact counts through the estimator interface
     E1 = cylinder_spectrum(L, W, 6.0, degree=1, n_grid=600)
-    est, _ = eigencount_estimate(cyclic_group, E1, (1.25, 4.25))
+    est, _ = eigencount_estimate(E1, (1.25, 4.25))
     exact = int(np.count_nonzero((E1.eigenvalues >= 1.25)
                                  & (E1.eigenvalues <= 4.25)))
     assert est == exact

@@ -1,16 +1,21 @@
 """The disc-averaging propagator: lens geometry, Monte Carlo kernel
-estimates, and the midpoint change of variables."""
+estimates, the midpoint change of variables, and the Hilbert-Schmidt
+estimator against an exact reference."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from hyplab.geom import Point, ball_volume, polar_from, sample_ball_complex
+from hyplab.fuchsian import dirichlet_domain
+from hyplab.geom import (Point, ball_volume, polar_from, sample_ball_complex,
+                         _SAMPLE_BLOCK)
 from hyplab.propagator import (Observable, const_observable, lens_halfwidth,
-                               apply_Pt, _EVAL_BLOCK, kernel_PtaPt, intersection_volume,
+                               apply_Pt, kernel_PtaPt, intersection_volume,
                                pythagoras_check, midpoint_change_of_var_check,
-                               ergodic_average_decay)
+                               ergodic_average_decay, hs_norm_estimate,
+                               lens_volume)
 
 
 def test_lens_halfwidth_closed_form():
@@ -30,6 +35,59 @@ def test_lens_halfwidth_closed_form():
 def test_pythagoras_relation_geometric():
     for t, r in ((2.0, 1.2), (3.0, 1.2), (4.0, 2.0)):
         assert pythagoras_check(t, r) < 1e-9
+
+
+def _fermi_lens(t, r):
+    """4 Int_0^L sinh(arccosh(cosh t / cosh(s + r/2))) ds, L = t - r/2,
+    the lens area in Fermi coordinates along the axis through the two
+    centers.  s = L (1 - v^2) removes the square-root endpoint, and
+    cosh t / cosh(s + r/2) - 1 is written as a product of sinh values."""
+    L = t - 0.5 * r
+
+    def f(v):
+        s = L * (1.0 - v * v)
+        x1 = (2.0 * math.sinh(0.5 * (t + s + 0.5 * r))
+              * math.sinh(0.5 * L * v * v) / math.cosh(s + 0.5 * r))
+        return math.sqrt(x1 * (x1 + 2.0)) * 2.0 * L * v
+
+    return 4.0 * integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                                limit=200)[0]
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 5.0, 8.0])
+def test_lens_volume_matches_fermi_quadrature(t):
+    for r in np.linspace(0.0, 2.0 * t - 0.1, 15):
+        assert lens_volume(t, r) == pytest.approx(_fermi_lens(t, r),
+                                                  rel=1e-12)
+
+
+def test_lens_volume_limits_and_monte_carlo():
+    for t in (0.5, 2.0, 6.0):
+        assert lens_volume(t, 0.0) == pytest.approx(ball_volume(t),
+                                                    rel=1e-12)
+        assert lens_volume(t, 2.0 * t) == 0.0
+    # r > t, where the midpoint ball serves thin lenses
+    for t, r in ((2.0, 3.9), (2.0, 3.0), (1.0, 1.9)):
+        est = intersection_volume(t, r, n=200_000, seed=17)
+        assert abs(est.value - lens_volume(t, r)) <= 4.0 * est.error
+
+
+def test_hs_main_term_matches_exact_reference(cyclic_group):
+    """For a = 1 the time-averaged kernel is radial,
+    K_T(r) = (1/T) Int_{r/2}^T lens_volume(t, r) / cosh t dt, so the main
+    term is Vol(D) 2 pi Int_0^{2T} K_T(r)^2 sinh r dr."""
+    T = 2.0
+
+    def K(r):
+        return integrate.quad(lambda t: lens_volume(t, r) / math.cosh(t),
+                              0.5 * r, T, epsabs=1e-13)[0] / T
+
+    exact = dirichlet_domain(cyclic_group)[0] * 2.0 * math.pi * integrate.quad(
+        lambda r: K(r) ** 2 * math.sinh(r), 0.0, 2.0 * T, epsabs=1e-12)[0]
+    assert exact == pytest.approx(420.78459, abs=1e-5)
+    main, _ = hs_norm_estimate(cyclic_group, const_observable(1.0), T, 1.5,
+                               n=4000, seed=0)
+    assert abs(main.value - exact) <= 4.0 * main.error
 
 
 def test_apply_pt_constant_exact():
@@ -55,7 +113,7 @@ def test_apply_pt_linearity_shared_seed():
 
 def test_apply_pt_blocks_are_one_evaluation():
     """Evaluating the observable block by block changes no value."""
-    z, t, n = Point(0.1, 0.8), 2.0, 2 * _EVAL_BLOCK + 7
+    z, t, n = Point(0.1, 0.8), 2.0, 2 * _SAMPLE_BLOCK + 7
     u = Observable(eval=lambda p: np.cos(p.real) / p.imag, sup_bound=1e3)
     vals = u.eval(sample_ball_complex(z, t, n, 3))
     scale = ball_volume(t) / math.sqrt(math.cosh(t))
@@ -105,7 +163,7 @@ def test_midpoint_change_of_variables_quick(cyclic_group):
 def test_ergodic_average_decay_shrinks(cyclic_group):
     a = Observable(eval=lambda zc: np.sign(np.real(zc)), sup_bound=1.0)
     rows = ergodic_average_decay(cyclic_group, a, t_list=(2.0, 4.0),
-                                 r=1.0, n=60, seed=3, n_inner=300)
+                                 r=1.0, n=60, seed=3)
     rows = list(rows)
     assert len(rows) == 2
     # lens averages of a mean-zero observable decay as the lens grows

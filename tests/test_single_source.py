@@ -7,9 +7,10 @@ matrix ``fuchsian._displacement`` and the domain reduction
 ``fuchsian.reduce_to_domain``, and the determinant a*d - b*c and the
 canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
 written only in ``geom._canonical_batch`` (besides the scalar
-``MobiusElement.__post_init__``), and the tridiagonal eigensolver
+``MobiusElement.__post_init__``), the tridiagonal eigensolver
 ``eigh_tridiagonal`` is used only in
-``synthetic.radial_mode_eigenvalues``."""
+``synthetic.radial_mode_eigenvalues``, and the block size 1 << 16 is
+written only in the assignment of ``geom._SAMPLE_BLOCK``."""
 
 import ast
 import pathlib
@@ -23,7 +24,8 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "mobius call": {"_displacement", "reduce_to_domain"},
            "det": {"_canonical_batch", "__post_init__"},
            "sign": {"_canonical_batch", "__post_init__"},
-           "tridiagonal": {"radial_mode_eigenvalues"}}
+           "tridiagonal": {"radial_mode_eigenvalues"},
+           "block": {"geom._SAMPLE_BLOCK"}}
 
 
 def _walk(node, func=None):
@@ -61,9 +63,21 @@ def _is_sign_cutoff(node):
             and node.comparators[0].value == 1e-12)
 
 
+def _is_block(node):
+    """The literal 1 << 16."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+            and getattr(node.left, "value", None) == 1
+            and getattr(node.right, "value", None) == 16)
+
+
 def _sites():
     for path in sorted(SRC.glob("*.py")):
-        for node, func in _walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        # a block literal is named by the variable it is assigned to
+        targets = {id(node.value): node.targets[0].id
+                   for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   and isinstance(node.targets[0], ast.Name)}
+        for node, func in _walk(tree):
             name = (getattr(node, "id", None) or getattr(node, "attr", None)
                     or getattr(node, "name", None))
             if name in NODE_SOURCES and not isinstance(node, ast.FunctionDef):
@@ -85,6 +99,9 @@ def _sites():
             if name == "eigh_tridiagonal" and not (
                     isinstance(node, ast.alias) and node.asname is None):
                 yield "tridiagonal", path.name, node.lineno, func
+            if _is_block(node):
+                yield ("block", path.name, node.lineno,
+                       f"{path.stem}.{targets.get(id(node), func)}")
 
 
 def test_one_node_source_and_one_batched_mobius_action():

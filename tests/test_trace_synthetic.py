@@ -211,10 +211,10 @@ def test_flat_mesh_eigendata_orthonormal():
 
 def test_eigencount_exact_with_data(cyclic_group):
     E = cylinder_spectrum(2.0, 4.0, lam_max=6.0, degree=1, n_grid=600)
-    est, weyl = eigencount_estimate(cyclic_group, E, (1.25, 4.25))
+    est, weyl = eigencount_estimate(E, (1.25, 4.25))
     exact = int(np.count_nonzero((E.eigenvalues >= 1.25)
                                  & (E.eigenvalues <= 4.25)))
     assert est == exact
     assert weyl > 0.0
     with pytest.raises(ValueError, match="eigen-data"):
-        eigencount_estimate(cyclic_group, None, (1.25, 4.25))
+        eigencount_estimate(None, (1.25, 4.25))
