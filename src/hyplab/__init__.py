@@ -3,7 +3,7 @@ eigenfunction statistics on hyperbolic surfaces.
 
 Modules
 -------
-geom            upper half-plane geometry: distances, balls, frames
+geom            upper half-plane geometry: distances, polar chart, balls
 fuchsian        cocompact Fuchsian groups: enumeration, domains, systole
 selberg         radial-kernel / multiplier transform pair and heat kernel
 propagator      disc-averaging propagator, lens integrals, HS estimates

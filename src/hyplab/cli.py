@@ -245,7 +245,8 @@ def _cmd_selberg(run, args):
 
 
 def _cmd_propagator(run, args):
-    G = _load_group(args.group) if args.group else None
+    if args.action in ("hs", "ergodic-decay", "midpoint-check"):
+        G = _load_group(args.group)
     if args.action == "kernel":
         a = propagator.const_observable(1.0)
         z = Point(0.0, 1.0)

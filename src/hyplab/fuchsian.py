@@ -148,7 +148,7 @@ def _group_from_dict(doc) -> GroupSpec:
     if not isinstance(doc, dict):
         raise ValueError("group JSON must be an object")
     try:
-        gens = tuple(MobiusElement(row[0][0], row[0][1], row[1][0], row[1][1])
+        gens = tuple(MobiusElement(*_generator_entries(row))
                      for row in doc["generators"])
         bx, by = doc["base_point"]
         return GroupSpec(
@@ -161,9 +161,27 @@ def _group_from_dict(doc) -> GroupSpec:
         raise ValueError(f"group JSON has no field {exc}") from None
 
 
+def _generator_entries(row) -> np.ndarray:
+    """The entries a, b, c, d of a generator given as [[a, b], [c, d]];
+    ValueError for anything but a 2x2 array of numbers."""
+    try:
+        m = np.asarray(row)
+    except ValueError:  # ragged
+        m = None
+    if m is None or m.shape != (2, 2) or m.dtype.kind not in "iuf":
+        raise ValueError(f"group generator {row!r} is not a 2x2 array of "
+                         "numbers")
+    return m.astype(float).ravel()
+
+
 def builtin_group(name: str) -> GroupSpec:
     """Load one of the shipped groups: 'cyclic_L2' or 'bolza'."""
-    text = resources.files("hyplab.data").joinpath(f"{name}.json").read_text()
+    try:
+        text = resources.files("hyplab.data").joinpath(
+            f"{name}.json").read_text()
+    except FileNotFoundError:
+        raise ValueError(f"no builtin group {name!r}; the builtins are "
+                         "'cyclic_L2' and 'bolza'") from None
     return _group_from_dict(json.loads(text))
 
 
@@ -472,18 +490,22 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
 
 def systole(G: GroupSpec, search_radius: float) -> float:
     """The least translation length 2 arccosh(|a + d| / 2) over the
-    group ball at z0 of radius search_radius + 2 radius, rounded up to a
-    multiple of 0.5, with radius from ``dirichlet_domain``.
+    group ball at z0 of radius 2 arcsinh(sinh(s/2) cosh c), rounded up to
+    a multiple of 0.5, with s = search_radius and c the radius from
+    ``dirichlet_domain``.
 
-    Exact when the systole ell is at most search_radius and D is not
-    truncated: a shortest closed geodesic meets D, which lies within
-    radius of z0, so a conjugate of its element (same trace) has its
-    axis through some w with d(z0, w) <= radius and moves z0 by at most
-    ell + 2 radius.
+    Exact when the systole ell is at most s and D is not truncated: a
+    shortest closed geodesic meets the closed D, which lies within c of
+    z0, so a conjugate of its element (same trace) has its axis through
+    some w with d(z0, w) <= c.  A hyperbolic element of translation
+    length ell moves a point at distance delta from its axis by d with
+    sinh(d/2) = sinh(ell/2) cosh delta (the Saccheri quadrilateral with
+    base ell on the axis and legs delta), so that conjugate, with
+    delta <= c and ell <= s, moves z0 by at most 2 arcsinh(sinh(s/2) cosh c).
     Otherwise it is the shortest within the ball; an elliptic or
     parabolic element (|a + d| <= 2) in the ball gives 0."""
-    ball = group_ball(G, G.base_point, _ball_radius(
-        search_radius + 2.0 * dirichlet_domain(G)[1]))
+    ball = group_ball(G, G.base_point, _ball_radius(2.0 * math.asinh(
+        math.sinh(0.5 * search_radius) * math.cosh(dirichlet_domain(G)[1]))))
     if not ball.elements:
         raise EnumerationTruncated(
             "no group element found within the search radius; increase it",

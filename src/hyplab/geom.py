@@ -1,11 +1,14 @@
 """Upper half-plane geometry: distances, the Mobius action, polar
-coordinates, the geodesic flow and Monte Carlo sampling of geodesic balls.
+coordinates in one disc chart and Monte Carlo sampling of geodesic balls.
 
 Conventions
 -----------
 * Points are ``z = x + iy`` with ``y > 0`` and metric ``(dx^2+dy^2)/y^2``.
-* A unit tangent is ``(z, theta)`` with ``theta = 0`` the upward vertical
-  direction at ``z`` and theta increasing counterclockwise.
+* A direction theta at ``z`` is measured from the upward vertical,
+  increasing counterclockwise.
+* Every point placed at polar coordinates (theta, r) about a centre goes
+  through ``_polar_batch``, and every radius drawn with the area law of a
+  ball through ``_radial_icdf``.
 * All operations are pure; samplers take explicit seeds.
 """
 
@@ -37,17 +40,6 @@ class Point:
     @staticmethod
     def from_complex(z: complex) -> "Point":
         return Point(z.real, z.imag)
-
-
-@dataclass(frozen=True)
-class UnitTangent:
-    """A base point together with a direction angle in [0, 2*pi)."""
-
-    base: Point
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,8 @@ class MobiusElement:
 
     @classmethod
     def _raw(cls, a, b, c, d):
-        # Bypass the normalization: rotations are stored with their natural
-        # sign so that frame angles compose correctly, and entries already
-        # made canonical by _canonical_batch keep their bits.
+        # Bypass the normalization: entries already made canonical by
+        # _canonical_batch keep their bits.
         self = object.__new__(cls)
         for name, value in zip("abcd", (a, b, c, d)):
             object.__setattr__(self, name, value)
@@ -173,46 +164,12 @@ def ball_volume(r: float) -> float:
     return TWO_PI * (math.cosh(r) - 1.0)
 
 
-# -- frames: a unit tangent corresponds to g in PSL(2,R) via (z, theta)
-# = g . (i, up); the geodesic flow is right multiplication by
-# diag(e^{t/2}, e^{-t/2}).
-
-
-def _frame(v: UnitTangent) -> MobiusElement:
-    x, y = v.base.x, v.base.y
-    sy = math.sqrt(y)
-    translate = MobiusElement(sy, x / sy, 0.0, 1.0 / sy)
-    half = 0.5 * v.theta
-    rotate = MobiusElement._raw(math.cos(half), math.sin(half),
-                                -math.sin(half), math.cos(half))
-    return translate @ rotate
-
-
-def _unframe(g: MobiusElement) -> UnitTangent:
-    z = g.apply_complex(1j)
-    theta = -2.0 * math.atan2(g.c, g.d)
-    return UnitTangent(Point.from_complex(z), theta)
-
-
-def geodesic_flow(v: UnitTangent, t: float) -> UnitTangent:
-    """Flow the unit tangent v for time t along its geodesic."""
-    half = 0.5 * t
-    flow = MobiusElement._raw(math.exp(half), 0.0, 0.0, math.exp(-half))
-    return _unframe(_frame(v) @ flow)
-
-
 def polar_from(z0: Point, theta: float, r: float) -> Point:
-    """The point at distance r from z0 in direction theta.
-
-    Defined as the base point of the geodesic flow of (z0, theta) at
-    time r, which makes the flow/polar compatibility exact by
-    construction.
-    """
+    """The point at distance r from z0 in direction theta: the one-point
+    case of ``_polar_batch``."""
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
-    if r == 0.0:
-        return z0
-    return geodesic_flow(UnitTangent(z0, theta), r).base
+    return Point.from_complex(complex(_polar_batch(z0.as_complex, theta, r)))
 
 
 def polar_to(z0: Point, z: Point) -> tuple:
@@ -231,36 +188,39 @@ def _disc_chart(z0, z):
     return (z - z0) / (z - np.conj(z0))
 
 
-def _disc_chart_inv(z0, w):
-    return (z0 - np.conj(z0) * w) / (1.0 - w)
-
-
-def _polar_batch(z0: Point, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorized polar_from; returns complex coordinates.
+def _polar_batch(z0c, theta, r) -> np.ndarray:
+    """The points at distance r from the complex centres z0c in direction
+    theta, as a complex array; z0c, theta and r broadcast together.
 
     The disc-chart point w = m e^{i theta}, m = tanh(r/2), maps back to
-    z0.x + z0.y * i(1 + w)/(1 - w), written out in real arithmetic.  The
+    x0 + y0 * i(1 + w)/(1 - w), written out in real arithmetic.  The
     direction enters through tau = tan(theta/2), which NumPy evaluates
     several times faster than cos and sin.
     """
+    x0, y0 = np.real(z0c), np.imag(z0c)
     m = np.tanh(0.5 * r)
     tau = np.tan(0.5 * theta)
     tau2 = tau * tau
     a = m * (1.0 - tau2) / (1.0 + tau2)  # Re w = m cos(theta)
     b = 2.0 * m * tau / (1.0 + tau2)  # Im w = m sin(theta)
     q = (1.0 - a) ** 2 + b * b  # |1 - w|^2
-    out = np.empty(np.shape(q), dtype=complex)
-    out.real = z0.x - 2.0 * z0.y * b / q
-    out.imag = z0.y * (1.0 - m) * (1.0 + m) / q
+    out = np.empty(np.broadcast_shapes(np.shape(x0), np.shape(q)),
+                   dtype=complex)
+    out.real = x0 - 2.0 * y0 * b / q
+    out.imag = y0 * (1.0 - m) * (1.0 + m) / q
     return out
+
+
+def _radial_icdf(u, R: float):
+    """Distances from the centre of uniform (hyperbolic-area) points of a
+    ball of radius R, from u uniform on [0, 1): the area within rho is
+    2 pi (cosh rho - 1), so rho = arccosh(1 + u (cosh R - 1))."""
+    return np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
 
 
 def sample_ball(z0: Point, r: float, n: int, seed: int) -> list:
     """Draw n i.i.d. points from the uniform (hyperbolic-area) measure on
-    the ball B(z0, r); reproducible for a fixed seed.
-
-    Radial CDF inversion: rho = acosh(1 + u (cosh r - 1)).
-    """
+    the ball B(z0, r); reproducible for a fixed seed."""
     zc = sample_ball_complex(z0, r, n, seed)
     return [Point(float(z.real), float(z.imag)) for z in zc]
 
@@ -281,6 +241,6 @@ def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
     # blocks keep the temporaries small enough to be reused, not faulted in
     for j in range(0, n, _SAMPLE_BLOCK):
         blk = slice(j, j + _SAMPLE_BLOCK)
-        rho = np.arccosh(1.0 + u[blk] * (math.cosh(r) - 1.0))
-        out[blk] = _polar_batch(z0, TWO_PI * theta[blk], rho)
+        out[blk] = _polar_batch(z0.as_complex, TWO_PI * theta[blk],
+                                _radial_icdf(u[blk], r))
     return out

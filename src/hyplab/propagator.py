@@ -7,7 +7,10 @@ empirical ergodic-average decay.
 P_t u(z) = (cosh t)^{-1/2} Integral_{B(z,t)} u d mu, so the kernel of
 P_t a P_t is (cosh t)^{-1} Integral_{B(z,t) cap B(w,t)} a d mu, which
 vanishes identically once d(z,w) > 2t.  The lens with center separation
-r has perpendicular half-width rho, cosh rho = cosh t / cosh(r/2).
+r has perpendicular half-width rho, cosh rho = cosh t / cosh(r/2), and
+every Monte Carlo lens integral samples the ball B(m, rho) about the
+lens midpoint m, which contains the lens.  Pair points, midpoints and
+sample points are all placed by ``geom._polar_batch``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (Point, ball_volume, hyp_dist, _dist_c, _disc_chart,
-                   _disc_chart_inv, _polar_batch, polar_from, polar_to,
+                   _polar_batch, _radial_icdf, polar_from, polar_to,
                    sample_ball_complex, TWO_PI, _SAMPLE_BLOCK)
 from .fuchsian import (GroupSpec, dirichlet_domain, systole,
                        thin_part_fraction, reduce_to_domain, _domain_samples)
@@ -64,7 +67,12 @@ def const_observable(c: float) -> Observable:
 
 def lens_halfwidth(t: float, r: float) -> float:
     """The perpendicular half-width rho of B(z,t) cap B(w,t) at center
-    separation r: cosh rho = cosh t / cosh(r/2)."""
+    separation r: cosh rho = cosh t / cosh(r/2).
+
+    The ball B(m, rho) about the midpoint m of z and w contains the lens:
+    in Fermi coordinates (s, u) about its axis a lens point with s >= 0
+    has cosh d(p, m) = cosh u cosh s <= cosh t cosh s / cosh(s + r/2)
+    <= cosh rho."""
     if not 0.0 <= r <= 2.0 * t:
         raise ValueError("need 0 <= r <= 2t")
     # stable for large t: cosh t / cosh(r/2) = e^{t - r/2} (1+e^{-2t})/(1+e^{-r})
@@ -98,33 +106,22 @@ def lens_volume(t: float, r: float) -> float:
 
 
 def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
-    """Monte Carlo integral of a over B(z,t) cap B(w,t).
-
-    Rejection from B(z,t); when the expected acceptance (lens volume /
-    ball volume) is below 1%, sample instead from the ball around the
-    lens midpoint with the Pythagoras half-width, which contains the
-    lens snugly.  Returns (integral, error, acceptance).
+    """Monte Carlo integral of a over B(z,t) cap B(w,t), by rejection from
+    the ball B(m, rho) about the lens midpoint, which contains the lens
+    (``lens_halfwidth``).  Returns (integral, error, acceptance).
     """
     r = float(_dist_c(np.array(zc), np.array(wc)))
     if r > 2.0 * t:
         return 0.0, 0.0, 0.0
     rho = lens_halfwidth(t, r)
-    if ball_volume(rho) < 0.01 * ball_volume(t):
-        theta, _ = polar_to(Point(zc.real, zc.imag), Point(wc.real, wc.imag))
-        m = _polar_batch(Point(zc.real, zc.imag), np.array([theta]),
-                         np.array([0.5 * r]))[0]
-        center = Point(m.real, m.imag)
-        radius = rho
-    else:
-        center = Point(zc.real, zc.imag)
-        radius = t
-    if radius <= 0.0:
+    if rho <= 0.0:
         return 0.0, 0.0, 0.0
-    pts = sample_ball_complex(center, radius, n, seed)
+    m = complex(_polar_batch(zc, np.angle(_disc_chart(zc, wc)), 0.5 * r))
+    pts = sample_ball_complex(Point(m.real, m.imag), rho, n, seed)
     inside = ((_dist_c(pts, np.full(n, zc)) <= t)
               & (_dist_c(pts, np.full(n, wc)) <= t))
     vals = np.where(inside, np.asarray(a_eval(pts), dtype=float), 0.0)
-    vol = ball_volume(radius)
+    vol = ball_volume(rho)
     est = vol * float(vals.mean())
     err = vol * float(vals.std(ddof=1)) / math.sqrt(n)
     return est, err, float(inside.mean())
@@ -214,13 +211,11 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
 
     # lhs: z ~ uniform(D), z' ~ uniform(B(z, R))
     zc = _domain_samples(G, n, seed + 2)
-    u = rng.random(n)
+    rr = _radial_icdf(rng.random(n), R)
     theta_out = TWO_PI * rng.random(n)
-    rr = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
-    # place z' at polar (theta_out, rr) around each z
-    zpc = _disc_chart_inv(zc, np.tanh(0.5 * rr) * np.exp(1j * theta_out))
-    # midpoint of the pair (z, z')
-    mc = _disc_chart_inv(zc, np.tanh(0.25 * rr) * np.exp(1j * theta_out))
+    # place z' at polar (theta_out, rr) around each z, and the midpoint
+    zpc = _polar_batch(zc, theta_out, rr)
+    mc = _polar_batch(zc, theta_out, 0.5 * rr)
     # Reduce the midpoint frame to the fundamental domain: translate m
     # into D and transport the direction by the same group element, so
     # that angle-dependent test functions are evaluated on quotient data.
@@ -234,7 +229,7 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
     # rhs: m ~ uniform(D), theta ~ uniform, r ~ sinh density on [0, R]
     mc2 = _domain_samples(G, n, seed + 3)
     theta2 = TWO_PI * rng.random(n)
-    r2 = np.arccosh(1.0 + rng.random(n) * (math.cosh(R) - 1.0))
+    r2 = _radial_icdf(rng.random(n), R)
     rhs = MCEstimate.of(np.asarray(f(mc2, theta2, r2), dtype=float), scale)
     return lhs, rhs
 
@@ -242,8 +237,9 @@ def midpoint_change_of_var_check(f, R: float, G: GroupSpec, n: int,
 def _pairs(G: GroupSpec, sep, n: int, seed: int, rng):
     """(m, z, w) for n pairs at separations sep, m uniform in the domain."""
     mc = _domain_samples(G, n, seed + 2)
-    fw = np.tanh(0.25 * sep) * np.exp(1j * TWO_PI * rng.random(n))
-    return mc, _disc_chart_inv(mc, fw), _disc_chart_inv(mc, -fw)
+    theta = TWO_PI * rng.random(n)
+    return (mc, _polar_batch(mc, theta, 0.5 * sep),
+            _polar_batch(mc, theta + math.pi, 0.5 * sep))
 
 
 def _lens_blocks(center, radius: float, zc, wc, n: int, rng):
@@ -255,9 +251,8 @@ def _lens_blocks(center, radius: float, zc, wc, n: int, rng):
     for j in range(0, len(center), step):
         sl = slice(j, j + step)
         shape = (len(center[sl]), n)
-        rho = np.arccosh(1.0 + rng.random(shape) * (math.cosh(radius) - 1.0))
-        w = np.tanh(0.5 * rho) * np.exp(1j * TWO_PI * rng.random(shape))
-        pts = _disc_chart_inv(center[sl, None], w)
+        rho = _radial_icdf(rng.random(shape), radius)
+        pts = _polar_batch(center[sl, None], TWO_PI * rng.random(shape), rho)
         d = np.maximum(_dist_c(pts, zc[sl, None]), _dist_c(pts, wc[sl, None]))
         yield sl, pts, d
 
@@ -271,11 +266,18 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
     variables; |K_T|^2 is estimated without bias by the product of two
     independent 400-point estimates from B(z, t_max) over 64
     Gauss-Legendre nodes t_j, where a point at lens distance d (see
-    _lens_blocks) carries C(d) = Sum_{t_j >= d} w_j / cosh t_j.
+    _lens_blocks) carries C(d) = Sum_{t_j >= d} w_j / cosh t_j.  The
+    separation is stratified, one per stratum u_i = (i + U_i)/n of the
+    radial law, as |K_T|^2 peaks at separation 0 where its density
+    vanishes; the error collapses adjacent strata into pairs,
+    scale sqrt(Sum_j (x_{2j+1} - x_{2j})^2) / n (an odd last stratum is
+    left out of it).
     remainder_bound: (e^{2R} / systole) Vol(thin part below R) sup|K_T|^2.
     """
     if T <= 0.0 or R <= 0.0:
         raise ValueError("T and R must be positive")
+    if n < 2:
+        raise ValueError("need n >= 2")
     x, w = _gauss_legendre(64)
     t_nodes, t_wts = T * x, T * w
     t_max = float(t_nodes[-1])
@@ -285,7 +287,7 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
     rng = np.random.default_rng(seed)
     R_sep = 2.0 * T  # kernel support in separation
 
-    sep = np.arccosh(1.0 + rng.random(n) * (math.cosh(R_sep) - 1.0))
+    sep = _radial_icdf((np.arange(n) + rng.random(n)) / n, R_sep)
     _, zc, wc = _pairs(G, sep, n, seed, rng)
     prods = np.empty(n)
     for sl, pts, d in _lens_blocks(zc, t_max, zc, wc, 800, rng):
@@ -293,7 +295,10 @@ def hs_norm_estimate(G: GroupSpec, a: Observable, T: float, R: float,
             * weight[np.searchsorted(t_nodes, d.ravel())]
         k = (ball_volume(t_max) / T) * vals.reshape(-1, 2, 400).mean(axis=2)
         prods[sl] = k[:, 0] * k[:, 1]
-    main = MCEstimate.of(prods, vol_D * ball_volume(R_sep))
+    scale = vol_D * ball_volume(R_sep)
+    diff = prods[1::2] - prods[:n - n % 2:2]
+    main = MCEstimate(value=scale * float(prods.mean()),
+                      error=scale * math.sqrt(float(diff @ diff)) / n)
 
     thin_frac, thin_err = thin_part_fraction(G, R, 2000, seed + 5)
     # sup|K_T| <= sup|a| (1/T) Int_0^T ball_volume(t) / cosh t dt
@@ -311,9 +316,8 @@ def ergodic_average_decay(G: GroupSpec, a: Observable, t_list, r: float,
     uniform in the fundamental domain, from 400 points of B(m, rho) each,
     rho = lens_halfwidth(t, r); report (t, lens_volume(t, r), L^2
     deviation of the averages).  The observable's quotient mean is
-    estimated once and subtracted.  B(m, rho) contains the lens: in Fermi
-    coordinates (s, u) about its axis a lens point with s >= 0 has
-    cosh d(p, m) = cosh u cosh s <= cosh t cosh s / cosh(s + r/2) <= cosh rho.
+    estimated once and subtracted.  B(m, rho) contains the lens
+    (``lens_halfwidth``).
     """
     if not r < 2.0 * min(t_list):
         raise ValueError("need r < 2 min(t)")

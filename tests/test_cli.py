@@ -141,6 +141,22 @@ def test_top_level_list_is_a_clean_error(tmp_path, loader):
     assert not (out / "manifest.json").exists()
 
 
+def test_malformed_group_is_a_clean_error(tmp_path):
+    """An empty group name and a generator that is not 2x2 fail with
+    error.json and exit 1, not a traceback."""
+    bad = tmp_path / "g.json"
+    bad.write_text(json.dumps({"generators": [[[2, 0]]],
+                               "base_point": [0.0, 1.0],
+                               "max_word_length": 4}))
+    for i, argv in enumerate([["propagator", "hs", "--group", ""],
+                              ["group", "ball", "--group", str(bad)]]):
+        out = tmp_path / f"o{i}"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError" and err["message"]
+        assert not (out / "manifest.json").exists()
+
+
 def test_spectral_action_writes_the_time_average_table(tmp_path):
     out = tmp_path / "o"
     assert run(["spectral-action", "--interval", "1,2", "--T", "20",

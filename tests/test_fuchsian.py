@@ -341,6 +341,24 @@ def test_midpoint_reduction_ball_is_c_plus_max_d(bolza_group, monkeypatch):
     assert max(radii) == 6.0
 
 
+def test_systole_ball_is_the_axis_bound(bolza_group, monkeypatch):
+    """An element of translation length at most s = 1 has a conjugate
+    whose axis passes within c = 2.448 of z0, so it moves z0 by at most
+    2 arcsinh(sinh(1/2) cosh c) = 3.65, rounded up to 4.0; s + 2c asks
+    for 6.0."""
+    dirichlet_domain(bolza_group)  # its own ball is not the systole's
+    radii = []
+    build = fuchsian._group_ball_cached
+
+    def spy(G, z, R):
+        radii.append(R)
+        return build(G, z, R)
+
+    monkeypatch.setattr(fuchsian, "_group_ball_cached", spy)
+    assert systole(bolza_group, 1.0) == pytest.approx(OCT_SYSTOLE, abs=1e-9)
+    assert radii == [4.0]
+
+
 def test_min_displacement_batch(bolza_group):
     G = bolza_group
     ball = group_ball(G, G.base_point, 6.0)

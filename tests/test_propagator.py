@@ -75,7 +75,9 @@ def test_lens_volume_limits_and_monte_carlo():
 def test_hs_main_term_matches_exact_reference(cyclic_group):
     """For a = 1 the time-averaged kernel is radial,
     K_T(r) = (1/T) Int_{r/2}^T lens_volume(t, r) / cosh t dt, so the main
-    term is Vol(D) 2 pi Int_0^{2T} K_T(r)^2 sinh r dr."""
+    term is Vol(D) 2 pi Int_0^{2T} K_T(r)^2 sinh r dr.  Seeds 8 and 9
+    drew too few small separations, where K_T^2 peaks, before the
+    separation was stratified."""
     T = 2.0
 
     def K(r):
@@ -85,9 +87,10 @@ def test_hs_main_term_matches_exact_reference(cyclic_group):
     exact = dirichlet_domain(cyclic_group)[0] * 2.0 * math.pi * integrate.quad(
         lambda r: K(r) ** 2 * math.sinh(r), 0.0, 2.0 * T, epsabs=1e-12)[0]
     assert exact == pytest.approx(420.78459, abs=1e-5)
-    main, _ = hs_norm_estimate(cyclic_group, const_observable(1.0), T, 1.5,
-                               n=4000, seed=0)
-    assert abs(main.value - exact) <= 4.0 * main.error
+    for seed in (0, 8, 9):
+        main, _ = hs_norm_estimate(cyclic_group, const_observable(1.0), T,
+                                   1.5, n=4000, seed=seed)
+        assert abs(main.value - exact) <= 4.0 * main.error
 
 
 def test_apply_pt_constant_exact():

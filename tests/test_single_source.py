@@ -9,8 +9,10 @@ canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
 written only in ``geom._canonical_batch`` (besides the scalar
 ``MobiusElement.__post_init__``), the tridiagonal eigensolver
 ``eigh_tridiagonal`` is used only in
-``synthetic.radial_mode_eigenvalues``, and the block size 1 << 16 is
-written only in the assignment of ``geom._SAMPLE_BLOCK``."""
+``synthetic.radial_mode_eigenvalues``, the block size 1 << 16 is
+written only in the assignment of ``geom._SAMPLE_BLOCK``, and the radial
+law of a ball, arccosh(1.0 + u * (cosh(R) - 1.0)), is written only in
+``geom._radial_icdf``."""
 
 import ast
 import pathlib
@@ -25,7 +27,8 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "det": {"_canonical_batch", "__post_init__"},
            "sign": {"_canonical_batch", "__post_init__"},
            "tridiagonal": {"radial_mode_eigenvalues"},
-           "block": {"geom._SAMPLE_BLOCK"}}
+           "block": {"geom._SAMPLE_BLOCK"},
+           "radial law": {"_radial_icdf"}}
 
 
 def _walk(node, func=None):
@@ -35,6 +38,11 @@ def _walk(node, func=None):
         yield child, func
         inner = child.name if isinstance(child, ast.FunctionDef) else func
         yield from _walk(child, inner)
+
+
+def _name(node):
+    """The name a Name or Attribute node refers to."""
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def _is_affine(node):
@@ -57,8 +65,7 @@ def _is_sign_cutoff(node):
     return (isinstance(node, ast.Compare) and len(node.ops) == 1
             and isinstance(node.ops[0], ast.Gt)
             and isinstance(node.left, ast.Call)
-            and getattr(node.left.func, "id",
-                        getattr(node.left.func, "attr", None)) == "abs"
+            and _name(node.left.func) == "abs"
             and isinstance(node.comparators[0], ast.Constant)
             and node.comparators[0].value == 1e-12)
 
@@ -68,6 +75,25 @@ def _is_block(node):
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
             and getattr(node.left, "value", None) == 1
             and getattr(node.right, "value", None) == 16)
+
+
+def _is_radial_law(node):
+    """arccosh(1.0 + x * (cosh(y) - 1.0)), also as math.acosh."""
+    if not (isinstance(node, ast.Call)
+            and _name(node.func) in ("arccosh", "acosh")
+            and len(node.args) == 1):
+        return False
+    arg = node.args[0]
+    if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+            and getattr(arg.left, "value", None) == 1.0
+            and isinstance(arg.right, ast.BinOp)
+            and isinstance(arg.right.op, ast.Mult)):
+        return False
+    factor = arg.right.right
+    return (isinstance(factor, ast.BinOp) and isinstance(factor.op, ast.Sub)
+            and isinstance(factor.left, ast.Call)
+            and _name(factor.left.func) == "cosh"
+            and getattr(factor.right, "value", None) == 1.0)
 
 
 def _sites():
@@ -89,9 +115,7 @@ def _sites():
                     and _is_product(node.left) and _is_product(node.right)):
                 yield "det", path.name, node.lineno, func
             if (isinstance(node, ast.Call)
-                    and getattr(node.func, "id", getattr(node.func, "attr",
-                                                         None))
-                    == "_mobius_batch"):
+                    and _name(node.func) == "_mobius_batch"):
                 yield "mobius call", path.name, node.lineno, func
             if _is_sign_cutoff(node):
                 yield "sign", path.name, node.lineno, func
@@ -99,6 +123,8 @@ def _sites():
             if name == "eigh_tridiagonal" and not (
                     isinstance(node, ast.alias) and node.asname is None):
                 yield "tridiagonal", path.name, node.lineno, func
+            if _is_radial_law(node):
+                yield "radial law", path.name, node.lineno, func
             if _is_block(node):
                 yield ("block", path.name, node.lineno,
                        f"{path.stem}.{targets.get(id(node), func)}")
