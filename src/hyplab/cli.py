@@ -245,7 +245,8 @@ def _cmd_selberg(run, args):
 
 
 def _cmd_propagator(run, args):
-    if args.action in ("hs", "ergodic-decay", "midpoint-check"):
+    uses_group = args.action in ("hs", "ergodic-decay", "midpoint-check")
+    if uses_group:
         G = _load_group(args.group)
     if args.action == "kernel":
         a = propagator.const_observable(1.0)
@@ -293,7 +294,7 @@ def _cmd_propagator(run, args):
             "lhs_error": lhs.error, "rhs_error": rhs.error,
             "deviation_sigmas": abs(lhs.value - rhs.value)
             / max(sigma, 1e-300)})
-    if args.action in ("hs", "ergodic-decay", "midpoint-check"):
+    if uses_group:
         _record_domain(run, G)
 
 
