@@ -523,15 +523,26 @@ def thin_part_fraction(G: GroupSpec, R: float, n: int, seed: int) -> tuple:
     For a one-generator group, whose Dirichlet domain is unbounded, the
     fraction refers to the domain truncated to B(z0, 3) (see
     ``dirichlet_domain``).
+
+    The elements searched are those in the ball of radius
+    2 min(R, r*) + 2c, c the radius from ``dirichlet_domain``, with
+    r* = arccosh(1 + Vol(D) / 2 pi) for a compact D and r* infinite for
+    a truncated one.  An element moving a point z of D by less than 2R
+    moves z0 by less than 2R + 2c, as d(z0, z) <= c.  On a compact
+    surface the disc B(z, inj z) embeds, so its area
+    2 pi (cosh(inj z) - 1) is at most Vol(D), and inj z <= r*: some
+    element moves z by 2 inj z <= 2 r*, and so z0 by at most 2 r* + 2c.
+    For R > r* that element counts every point, as 2 r* < 2R, and the
+    fraction is exactly 1.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
     if n < 1:
         raise ValueError("need at least one sample")
-    # elements displacing a domain point by < 2R displace the base point
-    # by < 2R + 2 * (domain radius)
-    ball = group_ball(G, G.base_point,
-                      2.0 * R + 2.0 * dirichlet_domain(G)[1])
+    D = _domain(G)
+    r_star = (math.acosh(1.0 + D.area / TWO_PI) if D.covering < math.inf
+              else math.inf)
+    ball = group_ball(G, G.base_point, 2.0 * min(R, r_star) + 2.0 * D.radius)
     samples = _domain_samples(G, n, seed)
     hits = int(np.count_nonzero(min_displacement_batch(ball, samples)
                                 < 2.0 * R))

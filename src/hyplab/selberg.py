@@ -18,9 +18,11 @@ e^{isu} g(u) du.  The inverse runs through g'(u) and
 With this normalization the radial averaging operator with kernel k
 acts on a Laplace eigenfunction with eigenvalue 1/4 + s^2 as
 multiplication by h(s); that identity is this module's central test
-oracle.  Square-root endpoint singularities are absorbed by the
-substitutions cosh rho = cosh u + v^2 (and mirror images), which make
-the integrands analytic.
+oracle.  Both directions are one singular integral, A[f](x) =
+Integral_x^S f(y) sinh(y) / sqrt(cosh y - cosh x) dy, with g = sqrt(2) A[k]
+and k = -A[g' / sinh] / (sqrt(2) pi); ``_abel_gl`` is its one quadrature
+rule, analytic after cosh y = cosh x + v^2, and ``_checked`` compares
+each result with a rule with more nodes.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
 
 @dataclass
 class RadialKernel:
-    """A radial kernel rho -> k(rho), compactly supported.  Kernels may
-    jump at the support edge (e.g. the disc indicator); quadrature splits
-    there."""
+    """A radial kernel rho -> k(rho), compactly supported; ``eval`` maps
+    an array of radii to an array of values.  Kernels may jump at the
+    support edge (e.g. the disc indicator); quadrature splits there."""
 
     eval: callable
     support: float
@@ -97,25 +99,26 @@ def _quad(fn, a, b, **kw):
     return val
 
 
+def _checked(val: float, ref: float, atol: float, rtol: float,
+             where: str) -> float:
+    """ref, once it agrees with val, the same quantity by a rule with
+    fewer nodes, within max(atol, rtol |ref|); QuadratureFailure
+    otherwise."""
+    if abs(val - ref) > max(atol, rtol * abs(ref)):
+        raise QuadratureFailure(f"{where} quadrature not converged: the "
+                                f"two rules differ by {val - ref:.2e}")
+    return ref
+
+
 def abel_transform(k: RadialKernel, u: float) -> float:
     """g(u) for the kernel k; even in u, zero for |u| >= support."""
     u = abs(float(u))
     S = k.support
     if u >= S:
         return 0.0
-    cu = math.cosh(u)
-    # Near the lower endpoint, cosh rho = cosh u + v^2 removes the
-    # 1/sqrt singularity; far from it the raw integrand is regular.
-    split_rho = min(u + 1.0, S)
-    v_split = math.sqrt(math.cosh(split_rho) - cu)
-    total = _quad(lambda v: 2.0 * k.eval(math.acosh(cu + v * v)),
-                  0.0, v_split)
-    if split_rho < S:
-        total += _quad(
-            lambda rho: k.eval(rho) * math.sinh(rho)
-            / math.sqrt(math.cosh(rho) - cu),
-            split_rho, S)
-    return math.sqrt(2.0) * total
+    val, ref = (_abel_gl(k.eval, S, u, 48, 24, n) for n in (1.0, 2.0))
+    return math.sqrt(2.0) * _checked(val, ref, 1e-11, 1e-9,
+                                     f"Abel transform at u={u}")
 
 
 def _frozen(*arrays):
@@ -133,38 +136,44 @@ def _gauss_legendre(n: int):
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
-@functools.lru_cache(maxsize=256)
 def _gl(n: int):
     """Quadrature nodes and weights on [0, 1] with >= n nodes: a plain
     Gauss-Legendre rule for small n, composite 64-node panels beyond
     (node generation for single large rules is prohibitively slow)."""
     if n <= 256:
         return _gauss_legendre(n)
-    m = -(-n // 64)  # number of panels
+    return _panels(-(-n // 64))
+
+
+@functools.lru_cache(maxsize=256)
+def _panels(m: int):
+    """The composite rule of m 64-node Gauss-Legendre panels on [0, 1];
+    cached by panel count, so every n that rounds up to m shares it."""
     x0, w0 = _gauss_legendre(64)
     x = ((x0[None, :] + np.arange(m)[:, None]) / m).ravel()
     return _frozen(x, np.tile(w0 / m, m))
 
 
-def _abel_gl(k_spline, S: float, u: float, n_scale: float = 1.0) -> float:
-    """Abel transform of a splined kernel by fixed Gauss-Legendre rules:
-    the near part in the regularizing variable v, the far part directly
-    in rho with nodes dense enough for ringing inverse-produced
-    kernels."""
-    cu = math.cosh(u)
-    split_rho = min(u + 1.0, S)
-    v_split = math.sqrt(math.cosh(split_rho) - cu)
-    x, wts = _gl(int(48 * n_scale))
-    v = v_split * x
-    total = v_split * float(wts @ (2.0 * k_spline(np.arccosh(cu + v * v))))
-    if split_rho < S:
-        n_far = int(max(64, 24 * (S - split_rho)) * n_scale)
-        x2, w2 = _gl(n_far)
-        rho = split_rho + (S - split_rho) * x2
-        integrand = (k_spline(rho) * np.sinh(rho)
-                     / np.sqrt(np.cosh(rho) - cu))
-        total += (S - split_rho) * float(w2 @ integrand)
-    return math.sqrt(2.0) * total
+def _abel_gl(f, S: float, x: float, near: float, density: float,
+             n_scale: float = 1.0) -> float:
+    """A[f](x) for an array function f by fixed Gauss-Legendre rules: up
+    to y = x + 1 in v, where the integrand is 2 f(y), with
+    int(near * n_scale) nodes; beyond, in y with at most 16384 and
+    int(max(64, density * length) * n_scale) nodes."""
+    cx = math.cosh(x)
+    split = min(x + 1.0, S)
+    v_split = math.sqrt(math.cosh(split) - cx)
+    nodes, wts = _gl(int(near * n_scale))
+    v = v_split * nodes
+    # scaling by 2 is exact, so where the factor 2 goes changes no bit
+    total = 2.0 * v_split * float(wts @ f(np.arccosh(cx + v * v)))
+    if split < S:
+        nodes, wts = _gl(min(16384, int(max(64, density * (S - split))
+                                        * n_scale)))
+        y = split + (S - split) * nodes
+        total += (S - split) * float(
+            wts @ (f(y) * np.sinh(y) / np.sqrt(np.cosh(y) - cx)))
+    return total
 
 
 def selberg_forward(k: RadialKernel,
@@ -191,14 +200,13 @@ def selberg_forward(k: RadialKernel,
     # scale the cache so ringing of period ~2 pi/band is still resolved
     cache_points = max(800, int(52 * S))
     w_grid = np.linspace(0.0, math.sqrt(S), cache_points)
-    g_vals = np.array([_abel_gl(k_spline, S, S - w * w) for w in w_grid])
+    g_vals = np.array([math.sqrt(2.0) * _abel_gl(k_spline, S, S - w * w, 48,
+                                                 24) for w in w_grid])
     # node-doubling check on a subsample of the grid
-    for w in w_grid[:: max(1, cache_points // 16)]:
-        ref = _abel_gl(k_spline, S, S - w * w, n_scale=2.0)
-        if abs(ref - _abel_gl(k_spline, S, S - w * w)) > max(
-                error_budget, 1e-9 * abs(ref)):
-            raise QuadratureFailure(
-                f"Abel quadrature not converged at u={S - w * w:.3f}")
+    for w, val in list(zip(w_grid, g_vals))[:: max(1, cache_points // 16)]:
+        ref = math.sqrt(2.0) * _abel_gl(k_spline, S, S - w * w, 48, 24, 2.0)
+        _checked(val, ref, error_budget, 1e-9,
+                 f"Abel transform at u={S - w * w:.3f}")
     g_edge = CubicSpline(w_grid, g_vals)
 
     def _h_gl(s, n):
@@ -214,12 +222,8 @@ def selberg_forward(k: RadialKernel,
         # resolve both the cos(su) oscillation and anything the g
         # spline itself can represent (ringing inverse kernels)
         n = min(16384, max(256, 4 * cache_points, int(32 * cycles) + 64))
-        val = _h_gl(s, n)
-        ref = _h_gl(s, min(16384, 2 * n))
-        if abs(val - ref) > max(error_budget, 1e-9 * abs(ref)):
-            raise QuadratureFailure(
-                f"multiplier quadrature not converged at s={s}")
-        return ref
+        return _checked(_h_gl(s, n), _h_gl(s, min(16384, 2 * n)),
+                        error_budget, 1e-9, f"multiplier at s={s}")
 
     return SpectralFunction(eval=h)
 
@@ -283,36 +287,15 @@ def selberg_inverse(h: SpectralFunction, band: float,
     q_vals[0] = float(-(s_wts * s_nodes ** 2 * h_vals).sum() / math.pi)
     q_spline = CubicSpline(u_grid, q_vals)
 
-    def _k_gl(rho: float, n_scale: float) -> float:
-        crho = math.cosh(rho)
-        # Singular part near u = rho via cosh u = cosh rho + v^2, where
-        # the integrand becomes 2 q(u(v)); regular tail directly in u.
-        # Fixed Gauss-Legendre rules sized to the band's ringing period.
-        split_u = min(rho + 1.0, u_max)
-        v_split = math.sqrt(math.cosh(split_u) - crho)
-        x, wts = _gl(int(max(48, 3 * band) * n_scale))
-        v = v_split * x
-        val = 2.0 * v_split * float(
-            wts @ q_spline(np.arccosh(crho + v * v)))
-        if split_u < u_max:
-            n_far = int(max(64, 3 * band * (u_max - split_u)) * n_scale)
-            x2, w2 = _gl(min(16384, n_far))
-            u = split_u + (u_max - split_u) * x2
-            val += (u_max - split_u) * float(
-                w2 @ (q_spline(u) * np.sinh(u)
-                      / np.sqrt(np.cosh(u) - crho)))
-        return -val / (math.sqrt(2.0) * math.pi)
-
     def k_eval(rho):
         rho = float(abs(rho))
         if rho >= u_max:
             return 0.0
-        val = _k_gl(rho, 1.0)
-        ref = _k_gl(rho, 1.5)
-        if abs(val - ref) > max(1e-6, 1e-7 * abs(ref)):
-            raise QuadratureFailure(
-                f"inverse-kernel quadrature not converged at rho={rho}")
-        return ref
+        # nodes sized to the band's ringing period
+        val, ref = (-_abel_gl(q_spline, u_max, rho, max(48, 3 * band),
+                              3 * band, n) / (math.sqrt(2.0) * math.pi)
+                    for n in (1.0, 1.5))
+        return _checked(val, ref, 1e-6, 1e-7, f"inverse kernel at rho={rho}")
 
     kernel = RadialKernel(eval=np.vectorize(k_eval, otypes=[float]),
                           support=u_max)

@@ -80,16 +80,14 @@ def h_t_closed(t: float, s: float) -> float:
     return _SQRT8 * val
 
 
-def h_t_grid(t: np.ndarray, s: np.ndarray, n_nodes: int = None) -> np.ndarray:
+def h_t_grid(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Vectorized h_t(s) for aligned arrays t, s (pairwise), by
     Gauss-Legendre quadrature in the edge variable."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t, s = np.broadcast_arrays(t, s)
-    if n_nodes is None:
-        cycles = float(np.max(np.abs(s) * t)) / (2.0 * math.pi)
-        n_nodes = max(128, int(12 * cycles) + 32)
-    x, w = _gauss_legendre(n_nodes)
+    cycles = float(np.max(np.abs(s) * t)) / (2.0 * math.pi)
+    x, w = _gauss_legendre(max(128, int(12 * cycles) + 32))
     # u = t (1 - x^2), v = sqrt(t) x, dv = sqrt(t) dx
     u = t[:, None] * (1.0 - x[None, :] ** 2)
     ratio = _cosh_ratio(u, t[:, None])
@@ -177,23 +175,15 @@ def verify_period_bound(I: SpectralInterval, k_max: int,
         raise ValueError("k_max must be >= 10")
     s_grid = I.s_grid(grid_n)
     c_I = min(c_of_s(s) for s in s_grid)
-    ok_k = []
+    k0 = 1
     violations = []
     for k in range(1, k_max + 1):
         t_k = 2.0 * math.pi * k / s_grid
-        h_vals = h_t_grid(t_k, s_grid)
-        bad = h_vals >= -2.0 * c_I + 1e-6
+        bad = h_t_grid(t_k, s_grid) >= -2.0 * c_I + 1e-6
         if bad.any():
-            ok_k.append(False)
+            k0 = k + 1
             violations.extend((k, float(s)) for s in s_grid[bad][:4])
-        else:
-            ok_k.append(True)
-    k0 = None
-    for k in range(1, k_max + 1):
-        if all(ok_k[k - 1:]):
-            k0 = k
-            break
-    if k0 is None:
+    if k0 > k_max:
         raise BoundNotReached(
             f"no k0 <= {k_max} satisfies the period bound on I = "
             f"[{I.a}, {I.b}]", violations=violations)

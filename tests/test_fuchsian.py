@@ -359,6 +359,41 @@ def test_systole_ball_is_the_axis_bound(bolza_group, monkeypatch):
     assert radii == [4.0]
 
 
+def test_thin_part_ball_is_capped_by_the_area(bolza_group, monkeypatch):
+    """On a compact surface inj z <= r* = arccosh(1 + Vol(D) / 2 pi), so
+    at R = 4 > r* the thin-part ball has radius 2 r* + 2c = 8.4224
+    rather than 2R + 2c = 12.8969, and every sample counts."""
+    area, c = dirichlet_domain(bolza_group)
+    r_star = math.acosh(1.0 + area / (2.0 * math.pi))
+    radii = []
+    build = fuchsian._group_ball_cached
+
+    def spy(G, z, R):
+        radii.append(R)
+        return build(G, z, R)
+
+    monkeypatch.setattr(fuchsian, "_group_ball_cached", spy)
+    frac, _ = thin_part_fraction(bolza_group, 4.0, 200, seed=0)
+    assert frac == 1.0
+    assert radii == [2.0 * r_star + 2.0 * c]
+    assert radii[0] == pytest.approx(8.4224, abs=1e-4)
+
+
+def test_injectivity_radius_within_area_bound(bolza_group):
+    """The conservative direction of the thin-part cap: the injectivity
+    radius of Bolza never exceeds r* = arccosh(3) = 1.7627, at the base
+    point or at sampled points of its domain."""
+    G = bolza_group
+    r_star = math.acosh(1.0 + dirichlet_domain(G)[0] / (2.0 * math.pi))
+    assert r_star == pytest.approx(math.acosh(3.0), abs=1e-12)
+    zc = np.concatenate([[G.base_point.as_complex],
+                         fuchsian._domain_samples(G, 5, seed=3)])
+    for z in zc:
+        # the cap 4 > 2 r*, so a capped answer would show as 2.0
+        inj = injectivity_radius(G, Point(z.real, z.imag), R_cap=4.0)
+        assert OCT_SYSTOLE / 2.0 - 1e-9 <= inj <= r_star
+
+
 def test_min_displacement_batch(bolza_group):
     G = bolza_group
     ball = group_ball(G, G.base_point, 6.0)

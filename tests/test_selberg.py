@@ -39,6 +39,8 @@ def test_gauss_legendre_rules_are_exact_on_polynomials():
     # the cached arrays are shared, so callers cannot write to them
     with pytest.raises(ValueError):
         x[0] = 0.0
+    # composite rules are cached by panel count, not by n
+    assert _gl(300) is _gl(320)
 
 
 def test_abel_transform_disc_closed_form():

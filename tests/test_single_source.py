@@ -12,7 +12,8 @@ written only in ``geom._canonical_batch`` (besides the scalar
 ``synthetic.radial_mode_eigenvalues``, the block size 1 << 16 is
 written only in the assignment of ``geom._SAMPLE_BLOCK``, and the radial
 law of a ball, arccosh(1.0 + u * (cosh(R) - 1.0)), is written only in
-``geom._radial_icdf``."""
+``geom._radial_icdf``, and the Abel substitution arccosh(x + v * v) is
+written only in ``selberg._abel_gl``."""
 
 import ast
 import pathlib
@@ -28,7 +29,8 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "sign": {"_canonical_batch", "__post_init__"},
            "tridiagonal": {"radial_mode_eigenvalues"},
            "block": {"geom._SAMPLE_BLOCK"},
-           "radial law": {"_radial_icdf"}}
+           "radial law": {"_radial_icdf"},
+           "abel substitution": {"_abel_gl"}}
 
 
 def _walk(node, func=None):
@@ -96,6 +98,21 @@ def _is_radial_law(node):
             and getattr(factor.right, "value", None) == 1.0)
 
 
+def _is_abel_substitution(node):
+    """arccosh(x + v * v), also as math.acosh."""
+    if not (isinstance(node, ast.Call)
+            and _name(node.func) in ("arccosh", "acosh")
+            and len(node.args) == 1):
+        return False
+    arg = node.args[0]
+    return (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+            and isinstance(arg.right, ast.BinOp)
+            and isinstance(arg.right.op, ast.Mult)
+            and isinstance(arg.right.left, ast.Name)
+            and isinstance(arg.right.right, ast.Name)
+            and arg.right.left.id == arg.right.right.id)
+
+
 def _sites():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -125,6 +142,8 @@ def _sites():
                 yield "tridiagonal", path.name, node.lineno, func
             if _is_radial_law(node):
                 yield "radial law", path.name, node.lineno, func
+            if _is_abel_substitution(node):
+                yield "abel substitution", path.name, node.lineno, func
             if _is_block(node):
                 yield ("block", path.name, node.lineno,
                        f"{path.stem}.{targets.get(id(node), func)}")
