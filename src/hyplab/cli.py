@@ -96,12 +96,13 @@ class _Run:
 
 # ---------------------------------------------------------------- helpers
 
-def _parse_pair(text, name):
+def _pair(text):
+    """An argparse type: two comma-separated numbers."""
     try:
         a, b = (float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{name} must be two comma-separated numbers")
+            "must be two comma-separated numbers") from None
     return a, b
 
 
@@ -299,8 +300,7 @@ def _cmd_propagator(run, args):
 
 
 def _cmd_spectral_action(run, args):
-    I = spectral_action.SpectralInterval(*_parse_pair(args.interval,
-                                                      "--interval"))
+    I = spectral_action.SpectralInterval(*args.interval)
     c_I, k0 = spectral_action.verify_period_bound(I, k_max=50,
                                                   grid_n=args.grid_n)
     s_grid, avgs = spectral_action.time_average_table(I, args.T, args.grid_n)
@@ -328,7 +328,7 @@ def _cylinder_spectrum(run, args, lam_max, degree):
 
 def _cmd_trace(run, args):
     if args.action == "weyl":
-        lam_lo, lam_hi = _parse_pair(args.window, "--window")
+        lam_lo, lam_hi = args.window
         f = trace.smoothed_window(lam_lo, lam_hi, args.eps)
         val = trace.weyl_density(f, math.sqrt(lam_hi + args.eps) + 1.0)
         run.json("weyl.json", {"window": [lam_lo, lam_hi], "eps": args.eps,
@@ -348,7 +348,7 @@ def _cmd_trace(run, args):
             "weyl_term": weyl, "geometric_side": geom,
             "defect": spectral - weyl - geom})
     elif args.action == "count":
-        lam_lo, lam_hi = _parse_pair(args.window, "--window")
+        lam_lo, lam_hi = args.window
         rows = []
         for m in (int(v) for v in args.degrees.split(",")):
             E = _cylinder_spectrum(run, args, lam_hi + 1.0, m)
@@ -378,13 +378,12 @@ def _cmd_qe(run, args):
     if "values" not in doc:
         raise ValueError("observable JSON has no field 'values'")
     a_vals = np.asarray(doc["values"], dtype=float)
-    interval = _parse_pair(args.interval, "--interval")
     if args.R is not None:
-        report = qe.qe_report(E, a_vals, interval, R=args.R,
+        report = qe.qe_report(E, a_vals, args.interval, R=args.R,
                               ell_min=args.ell_min, rho_gap=args.rho_gap,
                               thin_volume=args.thin_volume)
     else:
-        report = qe.qe_variance(E, a_vals, interval)
+        report = qe.qe_variance(E, a_vals, args.interval)
     report.to_json(run.path("qe_report.json"))
     run.csv("qe_terms.csv", ["lambda", "matrix_element", "sq_deviation"],
             report.per_term)
@@ -441,7 +440,7 @@ def _build_parser():
     pr.set_defaults(func=_cmd_propagator)
 
     sa = sub.add_parser("spectral-action", parents=[common])
-    sa.add_argument("--interval", default="1,2")
+    sa.add_argument("--interval", type=_pair, default="1,2")
     sa.add_argument("--T", type=float, default=50.0)
     sa.add_argument("--grid-n", type=int, default=16)
     sa.set_defaults(func=_cmd_spectral_action)
@@ -449,7 +448,7 @@ def _build_parser():
     tr = sub.add_parser("trace", parents=[common])
     tr.add_argument("action", choices=["weyl", "pretrace", "count",
                                        "expfit"])
-    tr.add_argument("--window", default="1.25,4.25")
+    tr.add_argument("--window", type=_pair, default="1.25,4.25")
     tr.add_argument("--eps", type=float, default=0.05)
     tr.add_argument("--L", type=float, default=2.0)
     tr.add_argument("--W", type=float, default=4.0)
@@ -466,7 +465,7 @@ def _build_parser():
     q.add_argument("--eigen", required=True)
     q.add_argument("--observable", required=True,
                    help='JSON {"values": [...]} aligned with the mesh')
-    q.add_argument("--interval", default="1.25,4.25")
+    q.add_argument("--interval", type=_pair, default="1.25,4.25")
     q.add_argument("--R", type=float, default=None)
     q.add_argument("--ell-min", type=float, default=1.0)
     q.add_argument("--rho-gap", type=float, default=0.5)

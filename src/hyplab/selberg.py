@@ -37,8 +37,6 @@ from scipy.interpolate import CubicSpline
 
 from .errors import QuadratureFailure, BandTooSmall, OdeFailure
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
-
 
 @dataclass
 class RadialKernel:
@@ -88,14 +86,16 @@ class SphericalOracle:
         return c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
 
 
-def _quad(fn, a, b, **kw):
-    opts = dict(_QUAD_OPTS)
-    opts.update(kw)
-    val, err = integrate.quad(fn, a, b, **opts)
+def _quad(fn, a, b, where: str, epsabs=1e-12, epsrel=1e-10, limit=400):
+    """Integral_a^b fn by adaptive QUADPACK, the toolkit's one ``quad``
+    call; QuadratureFailure, naming the integral ``where``, when its
+    error estimate exceeds max(1e-11, 1e-9 |value|)."""
+    val, err = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=epsrel,
+                              limit=limit)
     budget = max(1e-11, 1e-9 * abs(val))
     if err > budget:
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.2e} exceeds budget {budget:.2e}")
+        raise QuadratureFailure(f"{where} quadrature error estimate "
+                                f"{err:.2e} exceeds budget {budget:.2e}")
     return val
 
 
@@ -373,7 +373,7 @@ def heat_kernel_mass(t: float) -> float:
     for the exact heat kernel."""
     spline, rho_max = _heat_profile(t)
     val = _quad(lambda rho: spline(rho) * math.sinh(rho), 0.0, rho_max,
-                limit=800)
+                f"heat kernel mass at t={t}", limit=800)
     return 2.0 * math.pi * val
 
 

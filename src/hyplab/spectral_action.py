@@ -1,20 +1,22 @@
-"""Closed-form spectral action of the disc-averaging propagator: the
-multiplier h_t(s) in closed form, its Lipschitz control in t, the period
-sequence t_k = 2 pi k / s, the constants c(s), c(I), k0(I), and the
-time-averaged lower bound min_s (1/T) Int_0^T h_t(s)^2 dt.
+"""Spectral action of the disc-averaging propagator: the multiplier
+h_t(s), its Lipschitz control in t, the period sequence t_k = 2 pi k / s,
+the constants c(s), c(I), k0(I), and the time average
+(1/T) Int_0^T h_t(s)^2 dt with its minimum over s.
 
-The closed form used throughout is
+The multiplier is
 
     h_t(s) = 4 sqrt(2) * Integral_0^t cos(su) sqrt(1 - cosh u / cosh t) du,
 
-which agrees with the transform of the disc kernel k_t (see the selberg
-module) to quadrature accuracy; the cross-check is an acceptance test.
+taken everywhere by one checked Gauss-Legendre rule, ``_h_t_nodes``; it
+agrees with the transform of the disc kernel k_t (see the selberg
+module) to quadrature accuracy, which an acceptance test checks.
 For large k the period values behave like h_{t_k}(s) ~ -4 c(s) with
 
     c(s) = -(1/2) * Integral_0^{2 pi / s} cos(sv) sqrt(1 - e^{v - 2 pi/s}) dv,
 
 so h_{t_k}(s) < -2 c(I) holds with room to spare beyond the period index
-threshold k0(I).
+threshold k0(I).  c(I), k0(I), the Lipschitz constant and the minima
+over s are estimates on finite grids of s and t, not certified bounds.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import QuadratureFailure, BoundNotReached
-from .selberg import _gauss_legendre
+from .errors import BoundNotReached
+from .selberg import _checked, _gauss_legendre, _gl, _quad
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
 
@@ -45,6 +46,8 @@ class SpectralInterval:
 
     def s_grid(self, n: int = 256) -> np.ndarray:
         """Chebyshev points on [a, b] including both endpoints."""
+        if n < 2:
+            raise ValueError("an s-grid needs n >= 2 points")
         x = np.cos(np.pi * np.arange(n) / (n - 1))
         return 0.5 * (self.a + self.b) + 0.5 * (self.b - self.a) * x[::-1]
 
@@ -54,52 +57,53 @@ def _cosh_ratio(u, t):
     return np.exp(u - t) * (1.0 + np.exp(-2.0 * u)) / (1.0 + np.exp(-2.0 * t))
 
 
-def h_t_closed(t: float, s: float) -> float:
-    """The propagator multiplier h_t(s) by adaptive quadrature.
+def _h_t_nodes(t, s):
+    """The one quadrature rule for h_t: nodes u and weights W, one row
+    per entry of t, with h_t(s) = Sum_j cos(s u_j) W_j.
 
-    The square-root vanishing at u = t is absorbed by u = t - v^2; the
-    resulting integrand is analytic on [0, sqrt(t)].
-    """
+    The square-root vanishing at u = t is absorbed by u = t (1 - x^2),
+    in which the integrand is analytic on [0, 1].  The rule is sized
+    for the entry of the aligned arrays t, |s| with the most cycles,
+    max(128, int(12 * cycles) + 32) nodes from ``_gl``, and checked
+    there against the rule with twice the nodes (QuadratureFailure if
+    they differ by more than 1e-8, absolute and relative)."""
+    t, s = np.broadcast_arrays(t, np.abs(s))
+    top = int(np.argmax(s * t))
+    n = max(128, int(12 * s[top] * t[top] / (2.0 * math.pi)) + 32)
+    rules = []
+    for tt, m in ((t, n), (t[top:top + 1], 2 * n)):
+        x, w = _gl(m)
+        u = tt[:, None] * (1.0 - x * x)
+        root = np.sqrt(np.clip(1.0 - _cosh_ratio(u, tt[:, None]), 0.0, None))
+        rules.append((u, (2.0 * _SQRT8) * tt[:, None] * (x * w) * root))
+    (u, wts), (u2, w2) = rules
+    _checked(float(np.cos(s[top] * u2[0]) @ w2[0]),
+             float(np.cos(s[top] * u[top]) @ wts[top]), 1e-8, 1e-8,
+             f"h_t at t={t[top]}, s={s[top]}")
+    return u, wts
+
+
+def h_t_closed(t: float, s: float) -> float:
+    """The propagator multiplier h_t(s) at one point (``h_t_grid``)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    s = float(s)
-
-    def integrand(v):
-        u = t - v * v
-        return (math.cos(s * u)
-                * math.sqrt(max(0.0, 1.0 - _cosh_ratio(u, t))) * 2.0 * v)
-
-    cycles = abs(s) * t / (2.0 * math.pi)
-    val, err = integrate.quad(integrand, 0.0, math.sqrt(t),
-                              epsabs=1e-12, epsrel=1e-10,
-                              limit=max(200, int(20 * cycles) + 50))
-    if err > max(1e-10, 1e-8 * abs(val)):
-        raise QuadratureFailure(
-            f"h_t quadrature error estimate {err:.2e} too large at "
-            f"t={t}, s={s}")
-    return _SQRT8 * val
+    return float(h_t_grid(t, s)[0])
 
 
 def h_t_grid(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Vectorized h_t(s) for aligned arrays t, s (pairwise), by
-    Gauss-Legendre quadrature in the edge variable."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t, s = np.broadcast_arrays(t, s)
-    cycles = float(np.max(np.abs(s) * t)) / (2.0 * math.pi)
-    x, w = _gauss_legendre(max(128, int(12 * cycles) + 32))
-    # u = t (1 - x^2), v = sqrt(t) x, dv = sqrt(t) dx
-    u = t[:, None] * (1.0 - x[None, :] ** 2)
-    ratio = _cosh_ratio(u, t[:, None])
-    core = np.cos(s[:, None] * u) * np.sqrt(np.clip(1.0 - ratio, 0.0, None))
-    vals = 2.0 * t * ((core * x[None, :]) @ w)
-    return _SQRT8 * vals
+    """Vectorized h_t(s) for aligned arrays t, s (pairwise), by the one
+    rule ``_h_t_nodes``."""
+    t, s = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                               np.atleast_1d(np.asarray(s, dtype=float)))
+    u, wts = _h_t_nodes(t, s)
+    return np.einsum("ij,ij->i", np.cos(s[:, None] * u), wts)
 
 
 def lipschitz_bound(s_grid, t_range, delta: float = 1e-4,
                     n_t: int = 12) -> float:
-    """Empirical uniform Lipschitz constant of t -> h_t(s):
-    max over the (s, t) grid of |h_{t+delta}(s) - h_t(s)| / delta."""
+    """A grid estimate, not a certified bound, of the Lipschitz constant
+    of t -> h_t(s): max over the (s, t) grid of |h_{t+delta}(s) - h_t(s)|
+    / delta."""
     lo, hi = t_range
     if not lo > 1.0:
         raise ValueError("t_range must lie in (1, inf)")
@@ -132,11 +136,8 @@ def c_of_s(s: float) -> float:
         v = P - w * w
         return math.cos(s * v) * math.sqrt(-math.expm1(-w * w)) * 2.0 * w
 
-    val, err = integrate.quad(integrand, 0.0, math.sqrt(P),
-                              epsabs=1e-13, epsrel=1e-11, limit=400)
-    if err > 1e-9:
-        raise QuadratureFailure(
-            f"c(s) quadrature error estimate {err:.2e} too large at s={s}")
+    val = _quad(integrand, 0.0, math.sqrt(P), f"c(s) at s={s}",
+                epsabs=1e-13, epsrel=1e-11, limit=400)
     return -0.5 * val
 
 
@@ -154,11 +155,9 @@ def c_of_s_by_parts(s: float) -> float:
         e = math.exp(-w * w / s)
         return math.sin(x) * e / math.sqrt(-math.expm1(-w * w / s)) * 2.0 * w
 
-    val, err = integrate.quad(integrand, 0.0, math.sqrt(2.0 * math.pi),
-                              epsabs=1e-13, epsrel=1e-11, limit=400)
-    if err > 1e-9:
-        raise QuadratureFailure(
-            f"c(s) by-parts quadrature error {err:.2e} too large at s={s}")
+    val = _quad(integrand, 0.0, math.sqrt(2.0 * math.pi),
+                f"c(s) by parts at s={s}", epsabs=1e-13, epsrel=1e-11,
+                limit=400)
     return -val / (4.0 * s * s)
 
 
@@ -166,7 +165,8 @@ def verify_period_bound(I: SpectralInterval, k_max: int,
                         grid_n: int = 256):
     """c_I = min of c(s) over the s-grid on I, and the smallest k0 such
     that h_{t_k}(s) < -2 c_I + 1e-6 for all grid s and all k in
-    [k0, k_max].
+    [k0, k_max].  Both are grid estimates, checked at the grid s only,
+    not certified bounds on I.
 
     Raises BoundNotReached (listing violating (k, s) pairs) when even
     k0 = k_max fails.
@@ -200,17 +200,16 @@ def time_average_table(I: SpectralInterval, T: float, grid_n: int = 256):
     n_t = max(256, int(16 * cycles) + 64)
     x, w = _gauss_legendre(n_t)
     t_nodes, t_wts = T * x, T * w
-    avgs = np.empty(len(s_grid))
-    for i, s in enumerate(s_grid):
-        h_vals = h_t_grid(t_nodes, np.full(n_t, s))
-        avgs[i] = float((h_vals ** 2) @ t_wts) / T
-    return s_grid, avgs
+    # the rule's weights do not depend on s: build them once, for b
+    u, wts = _h_t_nodes(t_nodes, I.b)
+    h = [np.einsum("ij,ij->i", np.cos(s * u), wts) for s in s_grid]
+    return s_grid, (np.array(h) ** 2 @ t_wts) / T
 
 
 def time_avg_lower_bound(I: SpectralInterval, T: float,
                          grid_n: int = 256):
     """min over the s-grid on I of (1/T) Int_0^T h_t(s)^2 dt, with the
-    minimizing s."""
+    minimizing s: a grid estimate, not a certified lower bound on I."""
     s_grid, avgs = time_average_table(I, T, grid_n)
     i_min = int(np.argmin(avgs))
     return float(avgs[i_min]), float(s_grid[i_min])
@@ -223,11 +222,11 @@ def chain_lower_bound(I: SpectralInterval, T: float, k_max: int = 50):
 
     On the window J + t_k the multiplier satisfies |h_t(s)| >= c_I by
     Lipschitz continuity from |h_{t_k}(s)| >= 2 c_I, so each window
-    contributes at least |J| c_I^2 to the integral of h^2.
+    contributes at least |J| c_I^2 to the integral of h^2.  But c_I, k0
+    and L are grid estimates, so the result is one too, not certified.
     """
     c_I, k0 = verify_period_bound(I, k_max)
     L = lipschitz_bound(I.s_grid(32), (1.1, max(2.0, T)), n_t=16)
     J_len = c_I / L
-    s_lo = I.a
-    val = (s_lo / (4.0 * math.pi) - k0 / T) * J_len * c_I ** 2
+    val = (I.a / (4.0 * math.pi) - k0 / T) * J_len * c_I ** 2
     return val, {"c_I": c_I, "k0": k0, "lipschitz": L, "J_len": J_len}

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
 from .trace import EigenData
-from .selberg import heat_kernel
+from .selberg import heat_kernel, _quad
 
 
 def radial_mode_eigenvalues(nu: float, W: float, n_grid: int = 1500,
@@ -73,6 +72,8 @@ def cylinder_spectrum(L: float, W: float, lam_max: float, degree: int = 1,
     """EigenData for the degree-m cover of the truncated cylinder of
     core length L and half-width W: all Neumann eigenvalues up to
     lam_max (circular modes n != 0 carry multiplicity two)."""
+    if not (degree >= 1 and 0.0 < L < math.inf and 0.0 < W < math.inf):
+        raise ValueError("need degree >= 1 and finite L > 0, W > 0")
     mL = degree * L
     vol = 2.0 * mL * math.sinh(W)
     evs = list(radial_mode_eigenvalues(0.0, W, n_grid, lam_max))
@@ -105,10 +106,11 @@ def cylinder_geometric_side(L: float, W: float, t: float,
     mL = degree * L
     total = 0.0
     for k in range(1, 41):
-        val, _ = integrate.quad(
+        val = _quad(
             lambda rho: float(heat_kernel(
                 t, winding_displacement(k * mL, rho))) * math.cosh(rho),
-            0.0, W, epsabs=1e-13, epsrel=1e-10, limit=200)
+            0.0, W, f"winding {k} heat integral", epsabs=1e-13,
+            epsrel=1e-10, limit=200)
         term = 2.0 * mL * 2.0 * val  # both winding signs, both rho signs
         total += term
         if term < 1e-15 * max(abs(total), 1.0):

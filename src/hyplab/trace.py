@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import QuadratureFailure, IllConditioned
+from .errors import IllConditioned
 from .geom import Point
 from .fuchsian import (GroupSpec, dirichlet_domain, group_ball, systole,
                        _displacement, _domain_samples)
-from .selberg import heat_kernel, _heat_profile
+from .selberg import heat_kernel, _heat_profile, _quad
 
 
 @dataclass
@@ -117,12 +116,9 @@ def weyl_density(f, quad_limit: float) -> float:
     bounded f supported in [0, 1/4 + quad_limit^2]."""
     if quad_limit <= 0.0:
         raise ValueError("quad_limit must be positive")
-    val, err = integrate.quad(
+    val = _quad(
         lambda rho: f(0.25 + rho * rho) * math.tanh(math.pi * rho) * rho,
-        0.0, quad_limit, epsabs=1e-12, epsrel=1e-10, limit=400)
-    if err > max(1e-10, 1e-8 * abs(val)):
-        raise QuadratureFailure(
-            f"weyl density quadrature error {err:.2e} too large")
+        0.0, quad_limit, "Weyl density")
     return val / (2.0 * math.pi)
 
 
@@ -209,10 +205,10 @@ def heat_trace_spectral(E: EigenData, t: float):
     lam_max = float(E.eigenvalues[-1])
     value = float(np.exp(-t * E.eigenvalues).sum())
     rho_lo = math.sqrt(max(lam_max - 0.25, 0.0))
-    tail, _ = integrate.quad(
+    tail = _quad(
         lambda rho: math.exp(-t * (0.25 + rho * rho))
         * math.tanh(math.pi * rho) * rho, rho_lo, rho_lo + 40.0 / (1 + t),
-        epsabs=1e-14, epsrel=1e-10, limit=200)
+        f"heat-trace tail at t={t}", epsabs=1e-14, epsrel=1e-10, limit=200)
     return value, E.volume * tail / (2.0 * math.pi)
 
 

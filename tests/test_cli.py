@@ -157,6 +157,33 @@ def test_malformed_group_is_a_clean_error(tmp_path):
         assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    (["spectral-action", "--interval", "1,2,3"], 2),
+    (["spectral-action", "--grid-n", "1"], 1),
+    (["spectral-action", "--grid-n", "0"], 1),
+    (["trace", "weyl", "--window", "1"], 2),
+    (["trace", "count", "--window", "1,a"], 2),
+    (["trace", "count", "--degrees", "0"], 1),
+    (["trace", "pretrace", "--degree", "0"], 1),
+    (["trace", "pretrace", "--L", "0"], 1),
+    (["trace", "pretrace", "--W", "0"], 1),
+    (["qe", "--eigen", "e.json", "--observable", "o.json",
+      "--interval", "1,2,"], 2)],
+    ids=["interval-3", "grid-n-1", "grid-n-0", "window-1", "window-letter",
+         "degrees-0", "degree-0", "L-0", "W-0", "qe-interval"])
+def test_malformed_input_is_a_clean_error(tmp_path, argv, code):
+    """A malformed pair is a usage error (exit 2, nothing written); a
+    degenerate cylinder or s-grid is a ValueError (exit 1, error.json);
+    neither raises, warns or leaves a manifest."""
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == code
+    assert not (out / "manifest.json").exists()
+    if code == 1:
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError" and err["message"]
+
+
 def test_spectral_action_writes_the_time_average_table(tmp_path):
     out = tmp_path / "o"
     assert run(["spectral-action", "--interval", "1,2", "--T", "20",

@@ -12,8 +12,10 @@ written only in ``geom._canonical_batch`` (besides the scalar
 ``synthetic.radial_mode_eigenvalues``, the block size 1 << 16 is
 written only in the assignment of ``geom._SAMPLE_BLOCK``, and the radial
 law of a ball, arccosh(1.0 + u * (cosh(R) - 1.0)), is written only in
-``geom._radial_icdf``, and the Abel substitution arccosh(x + v * v) is
-written only in ``selberg._abel_gl``."""
+``geom._radial_icdf``, the Abel substitution arccosh(x + v * v) is
+written only in ``selberg._abel_gl``, SciPy's adaptive ``quad`` is
+called only in the checked ``selberg._quad``, and the cosh ratio of
+h_t is taken only in its one rule, ``spectral_action._h_t_nodes``."""
 
 import ast
 import pathlib
@@ -30,7 +32,9 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "tridiagonal": {"radial_mode_eigenvalues"},
            "block": {"geom._SAMPLE_BLOCK"},
            "radial law": {"_radial_icdf"},
-           "abel substitution": {"_abel_gl"}}
+           "abel substitution": {"_abel_gl"},
+           "quad": {"_quad"},
+           "cosh ratio": {"_h_t_nodes"}}
 
 
 def _walk(node, func=None):
@@ -125,6 +129,12 @@ def _sites():
                     or getattr(node, "name", None))
             if name in NODE_SOURCES and not isinstance(node, ast.FunctionDef):
                 yield "nodes", path.name, node.lineno, func
+            # an import of quad counts too, at module level
+            if name == "quad" and not isinstance(node, ast.FunctionDef):
+                yield "quad", path.name, node.lineno, func
+            if (isinstance(node, ast.Call)
+                    and _name(node.func) == "_cosh_ratio"):
+                yield "cosh ratio", path.name, node.lineno, func
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                     and _is_affine(node.left) and _is_affine(node.right)):
                 yield "mobius", path.name, node.lineno, func

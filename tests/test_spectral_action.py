@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
-from hyplab.errors import BoundNotReached
+from hyplab import selberg, spectral_action
+from hyplab.errors import BoundNotReached, QuadratureFailure
+from hyplab.selberg import disc_kernel, selberg_forward
 from hyplab.spectral_action import (SpectralInterval, h_t_closed, h_t_grid,
                                     lipschitz_bound, period_sequence,
                                     c_of_s, c_of_s_by_parts,
@@ -36,11 +39,27 @@ def test_h_t_closed_frozen_values():
 
 
 def test_h_t_grid_matches_adaptive():
+    # the transform of the disc kernel is an independent integral: the
+    # Abel step, then the Fourier step, each with its own rule
     t = np.array([0.5, 1.0, 2.0, 3.0, 3.0])
     s = np.array([0.5, 1.0, 2.0, 0.7, 4.0])
     got = h_t_grid(t, s)
-    want = np.array([h_t_closed(ti, si) for ti, si in zip(t, s)])
+    want = np.array([selberg_forward(disc_kernel(ti)).eval(si)
+                     for ti, si in zip(t, s)])
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_starved_rules_raise_quadrature_failure(monkeypatch):
+    # h_t's rule with 8 nodes where 128 are asked for (16 for the check)
+    monkeypatch.setattr(spectral_action, "_gl",
+                        lambda n: selberg._gauss_legendre(n // 16))
+    with pytest.raises(QuadratureFailure, match="h_t at t=3.0, s=4.0"):
+        h_t_grid([1.0, 3.0], [4.0, 4.0])
+    # QUADPACK held to one subinterval cannot meet its budget
+    with pytest.warns(IntegrationWarning), \
+            pytest.raises(QuadratureFailure, match="starved quadrature"):
+        selberg._quad(lambda v: math.cos(40.0 * v), 0.0, 1.0, "starved",
+                      limit=1)
 
 
 def test_period_sequence():
