@@ -6,8 +6,12 @@ Enumeration is breadth-first over reduced words, one word length (level)
 at a time, on (N, 4) arrays of matrix entries.  Each level multiplies
 every frontier element by every generator that does not cancel its last
 letter, renormalizes the products with ``geom._canonical_batch`` and
-prunes a product once it moves the base point further than
-``R + 2 * (max generator displacement)``.  A surviving product is a
+prunes a product once it moves the centre further than a threshold: R
+(plus 1e-9 for rounding) when the centre is the base point z0 and every
+side of the Dirichlet domain D at z0 is a generator or a generator's
+inverse (the "sides" rule, proved below), and otherwise
+``R + 2 * (max generator displacement)`` (the "generators" rule, a
+heuristic margin).  A surviving product is a
 duplicate, and is dropped, when it lies within ``_DEDUP_TOL`` in every
 entry of an element kept at a shorter length or of an earlier product of
 its level in (prefix, generator) order.  This can mislabel
@@ -45,6 +49,38 @@ n -> cosh d(z, g^n z0) = A cosh(n ell + s) + B with A > 0 is convex in
 n, so if n = 0 beats n = 1 and n = -1 it beats every n != 0.  The
 envelope's winners are then exactly g and g^-1, so one path serves both.
 
+Pruning at R (the sides rule).  Let z0 be fixed by no nontrivial element
+and gamma != id.  Then w = gamma z0 has d(w, gamma z0) = 0 < d(w, z0), so
+w lies outside the closed half-plane of gamma and hence outside the
+closure of D.  For a compact D that closure is the intersection of the
+closed half-planes of its sides (the open ones meet in D, which is
+nonempty, and the closure of an intersection of convex sets with a
+common interior point is the intersection of their closures).  For the
+strip, if n = 0 were no worse than n = 1 and n = -1 in the convex
+n -> cosh d(w, g^n z0) above, it would beat every n != 0, whereas
+n = k with gamma = g^k gives 1.  Either way some side s has
+d(w, s z0) < d(w, z0), that is d(z0, s^-1 gamma z0) < d(z0, gamma z0).
+Applied to gamma^-1, some side t has d(z0, gamma t z0) < d(z0, gamma z0).
+Now let every side be a letter (sides come in inverse pairs, so t^-1 is
+one too) and prune at R.  Induct on d(z0, gamma z0) <= R, which takes
+finitely many values as the group is discrete: gamma' = gamma t moves z0
+less, so it was kept (the identity is the root), and the search extends
+it by t^-1 unless its word ends in t, in which case gamma is its parent
+and was kept before.  The product gamma is not pruned, so it is kept
+unless it duplicates a kept element: every gamma of the ball is found
+before the word cap, or the frontier is still open there and the ball
+is flagged truncated.  The pruning test and the membership test compare
+the same computed displacement with R + 1e-9, so rounding can only drop
+an element whose displacement lies within rounding of that bound.  The
+lemma also shows that the sides generate the group (Beardon, The
+Geometry of Discrete Groups, ch. 9; Katok, Fuchsian Groups, ch. 4).
+``_group_ball_cached`` applies the rule when ``_domain`` succeeds and
+each side's row (cos theta_g, sin theta_g, tanh(d_g/2)) is within
+``_SIDE_TOL`` of a doubled generator's row, as gamma z0 determines gamma
+when z0 is fixed by no nontrivial element.  ``_domain`` itself needs a
+ball before it knows the sides, so its certifying ball keeps the
+generators rule.
+
 Reduction (``reduce_to_domain``) moves z to the gamma z nearest the base
 point z0, searching only gamma with
 d(z0, gamma z0) <= min(2 d(z0, z), c + d(z0, z)), c the covering radius
@@ -76,6 +112,12 @@ from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK,
 # separated by far more than 1e-6 (else their quotient would displace
 # the base point by less than the systole).  1e-6 splits the difference.
 _DEDUP_TOL = 1e-6
+
+# Rows (cos theta_g, sin theta_g, tanh(d_g/2)) of gamma z0 computed from
+# two words for one element agree to rounding; the rows of distinct
+# elements differ by far more (their images of z0 lie at least the least
+# displacement at z0 apart).
+_SIDE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,6 +153,7 @@ class EnumerationStats:
     duplicates: int
     frontier_peak: int
     kept: int
+    rule: str  # "sides" (pruned at R) or "generators" (at R + 2 delta_max)
 
 
 @dataclass(frozen=True)
@@ -243,11 +286,32 @@ def _near_pairs(ref: np.ndarray, qry: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
+    return _enumerate(G, z, R, z == G.base_point and _sides_are_letters(G))
+
+
+@functools.lru_cache(maxsize=64)
+def _sides_are_letters(G: GroupSpec) -> bool:
+    """Whether the sides rule applies at the base point: D exists and
+    each of its sides is a doubled generator (module docstring).  Cached,
+    failures too, so a domain that cannot be built is tried once."""
+    try:
+        sides = _domain(G).sides
+    except (EnumerationTruncated, ValueError):
+        return False
+    rows = _polar(G.base_point, _doubled_generators(G)[0])[2]
+    gap = np.abs(sides.T[:, None, :] - rows.T[None, :, :]).max(axis=2)
+    return bool((gap.min(axis=1) <= _SIDE_TOL).all())
+
+
+def _enumerate(G: GroupSpec, z: Point, R: float, sides: bool) -> GroupBall:
+    """The ball of radius R about z, pruned by the sides rule or by the
+    generators rule (module docstring)."""
     gens, inv_index = _doubled_generators(G)
     gmat = np.array([g.entries for g in gens])
     inv_index = np.array(inv_index)
     zc = [z.as_complex]
-    threshold = R + 2.0 * float(_displacement(gmat, zc).max())
+    threshold = (R + 1e-9 if sides
+                 else R + 2.0 * float(_displacement(gmat, zc).max()))
 
     frontier = np.array([MobiusElement.identity().entries])
     last = np.array([-1])  # last letter of each frontier word
@@ -304,7 +368,8 @@ def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
     stats = EnumerationStats(
         levels=len(parents), candidates=candidates,
         pruned=candidates - duplicates - kept, duplicates=duplicates,
-        frontier_peak=peak, kept=kept)
+        frontier_peak=peak, kept=kept,
+        rule="sides" if sides else "generators")
     return GroupBall(elements=tuple(elements), radius=R, center=z,
                      truncated=bool(len(frontier)), stats=stats)
 
@@ -319,17 +384,28 @@ def group_ball(G: GroupSpec, z: Point, R: float) -> GroupBall:
     """All nontrivial group elements gamma with d(z, gamma z) <= R that
     are reachable within the word-length cap.
 
+    At the base point, when every side of the Dirichlet domain there is
+    a generator or a generator's inverse, products are pruned once they
+    move z further than R (plus 1e-9 for rounding), and the module
+    docstring proves that this finds every such gamma.  Otherwise, or
+    when the domain cannot be built, they are pruned beyond
+    R + 2 max_g d(z, g z), a margin without proof.  ``stats.rule`` says
+    which rule ran.
+
     Raises EnumerationTruncated (with the partial ball attached) when
     branches below the pruning threshold were still open at the cap.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
-    ball = _group_ball_cached(G, z, float(R))
+    return _complete(G, _group_ball_cached(G, z, float(R)))
+
+
+def _complete(G: GroupSpec, ball: GroupBall) -> GroupBall:
     if ball.truncated:
         raise EnumerationTruncated(
             f"word cap {G.max_word_length} reached with open branches; "
-            f"the ball of radius {R} at {z} may be incomplete",
-            partial=ball)
+            f"the ball of radius {ball.radius} at {ball.center} may be "
+            "incomplete", partial=ball)
     return ball
 
 
@@ -422,7 +498,8 @@ def _domain(G: GroupSpec) -> _Domain:
     # the generators' region bounds D's radius by c, so every gamma that
     # can cut D lies in the ball of radius 2c
     c = _envelope(G, _doubled_generators(G)[0], cap)[1]
-    ball = group_ball(G, G.base_point, _ball_radius(2.0 * c))
+    ball = _complete(G, _enumerate(G, G.base_point, _ball_radius(2.0 * c),
+                                   sides=False))
     area, radius, sides = _envelope(G, [g for g, _ in ball.elements], cap)
     sides.setflags(write=False)
     return _Domain(area, radius, radius if cap == math.inf else math.inf,
@@ -443,10 +520,8 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
     bisectors of z0 and gamma z0 for the given elements, and by
     rho <= cap; sides holds rows cos theta_g, sin theta_g, tanh(d_g/2)
     of each element whose bisector attains the minimum on some arc."""
-    z0 = G.base_point
-    theta, d = np.array([polar_to(z0, mobius_apply(g, z0))
-                         for g in elements]).T
-    T, C = np.tanh(0.5 * d), np.cosh(0.5 * d)
+    theta, d, rows = _polar(G.base_point, elements)
+    T, C = rows[2], np.cosh(0.5 * d)
     half = np.arccos(T)  # half-width of each bisector's range
     # two bisectors can cross only inside both of their ranges
     i, j = np.triu_indices(len(d), 1)
@@ -485,7 +560,16 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
     # at a vertex their computed crossings differ by a few ulps of 2 pi,
     # leaving arcs that short on which any of them may win.
     sides = np.unique(k[np.isfinite(rho) & (hi - lo > 1e-9)])
-    return area, radius, np.stack([np.cos(theta), np.sin(theta), T])[:, sides]
+    return area, radius, rows[:, sides]
+
+
+def _polar(z0: Point, elements) -> tuple:
+    """Polar coordinates (theta_g, d_g) of gamma z0 about z0 for each
+    element, and the rows cos theta_g, sin theta_g, tanh(d_g/2)."""
+    theta, d = np.array([polar_to(z0, mobius_apply(g, z0))
+                         for g in elements]).T
+    return theta, d, np.stack([np.cos(theta), np.sin(theta),
+                               np.tanh(0.5 * d)])
 
 
 def systole(G: GroupSpec, search_radius: float) -> float:

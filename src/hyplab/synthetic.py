@@ -25,12 +25,17 @@ sinh(k m L / 2) cosh(rho).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .trace import EigenData
 from .selberg import heat_kernel, _quad
+
+# The largest half-width W whose cosh(W) ** 2 (about e^{2W} / 4) is a
+# finite float: about 354.9.
+_W_MAX = 0.5 * math.log(sys.float_info.max)
 
 
 def radial_mode_eigenvalues(nu: float, W: float, n_grid: int = 1500,
@@ -72,8 +77,10 @@ def cylinder_spectrum(L: float, W: float, lam_max: float, degree: int = 1,
     """EigenData for the degree-m cover of the truncated cylinder of
     core length L and half-width W: all Neumann eigenvalues up to
     lam_max (circular modes n != 0 carry multiplicity two)."""
-    if not (degree >= 1 and 0.0 < L < math.inf and 0.0 < W < math.inf):
-        raise ValueError("need degree >= 1 and finite L > 0, W > 0")
+    if not (degree >= 1 and 0.0 < L < math.inf and 0.0 < W <= _W_MAX):
+        raise ValueError("need degree >= 1, finite L > 0 and "
+                         f"0 < W <= {_W_MAX:.1f}, where cosh(W) ** 2 is "
+                         "finite")
     mL = degree * L
     vol = 2.0 * mL * math.sinh(W)
     evs = list(radial_mode_eigenvalues(0.0, W, n_grid, lam_max))

@@ -62,6 +62,18 @@ def test_csv_format_contract(tmp_path):
     float(rows[1][-1])  # numeric body
 
 
+def test_group_ball_reaches_radius_10(tmp_path):
+    """Pruned at R through the side pairings, the Bolza ball of radius
+    10 finishes within the word cap; pruned at R + 2 delta_max it did
+    not (EnumerationTruncated, exit 1)."""
+    out = tmp_path / "o"
+    assert run(["group", "ball", "--group", "bolza", "--radius", "10",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "group_ball.json").read_text())["count"] == 5432
+    stats = read_manifest(out)["diagnostics"]["enumeration"]
+    assert stats["rule"] == "sides" and stats["kept"] == 5432
+
+
 def test_rerun_byte_identical_and_thread_independent(tmp_path):
     outs = []
     for i, seed in enumerate(("3", "3", "4")):
@@ -168,10 +180,11 @@ def test_malformed_group_is_a_clean_error(tmp_path):
     (["trace", "pretrace", "--degree", "0"], 1),
     (["trace", "pretrace", "--L", "0"], 1),
     (["trace", "pretrace", "--W", "0"], 1),
+    (["trace", "pretrace", "--W", "700", "--n-grid", "100"], 1),
     (["qe", "--eigen", "e.json", "--observable", "o.json",
       "--interval", "1,2,"], 2)],
     ids=["interval-3", "grid-n-1", "grid-n-0", "window-1", "window-letter",
-         "degrees-0", "degree-0", "L-0", "W-0", "qe-interval"])
+         "degrees-0", "degree-0", "L-0", "W-0", "W-700", "qe-interval"])
 def test_malformed_input_is_a_clean_error(tmp_path, argv, code):
     """A malformed pair is a usage error (exit 2, nothing written); a
     degenerate cylinder or s-grid is a ValueError (exit 1, error.json);

@@ -152,6 +152,154 @@ def test_truncated_ball_is_part_of_the_full_ball(bolza_group):
                                                    6.0).elements)
 
 
+@pytest.fixture(scope="module")
+def bolza_reference():
+    """Every element moving z0 by at most 9 under Bolza's generators,
+    pruned at R + 2 delta_max with a word cap of 40: the enumeration
+    every group ball used before the sides rule."""
+    G = dataclasses.replace(builtin_group("bolza"), max_word_length=40)
+    ball = fuchsian._enumerate(G, G.base_point, 9.0, sides=False)
+    assert not ball.truncated and ball.stats.rule == "generators"
+    return ball.matrices()
+
+
+def _within(mats, z, R):
+    return mats[fuchsian._displacement(mats, [z.as_complex])[:, 0]
+                <= R + 1e-9]
+
+
+def assert_same_elements(mats, ref):
+    """The rows of mats and of ref match one to one within _DEDUP_TOL,
+    so both hold the same group elements."""
+    assert len(mats) == len(ref)
+    ref = ref[np.argsort(ref[:, 0], kind="stable")]
+    i, j = fuchsian._near_pairs(ref, mats)
+    assert np.array_equal(np.sort(i), np.arange(len(mats)))
+    assert np.array_equal(np.sort(j), np.arange(len(ref)))
+
+
+@pytest.mark.parametrize("R", [4.0, 6.0, 7.0, 8.0, 9.0])
+def test_sides_rule_ball_is_the_reference_ball(bolza_group, bolza_reference,
+                                               R):
+    G, z0 = bolza_group, bolza_group.base_point
+    ball = group_ball(G, z0, R)
+    assert ball.stats.rule == "sides"
+    assert_same_elements(ball.matrices(), _within(bolza_reference, z0, R))
+
+
+@pytest.mark.parametrize("R", [6.5, 9.0, 12.0])
+def test_sides_rule_ball_is_the_reference_ball_cyclic(cyclic_group, R):
+    G, z0 = cyclic_group, cyclic_group.base_point
+    ball = group_ball(G, z0, R)
+    ref = fuchsian._enumerate(dataclasses.replace(G, max_word_length=40),
+                              z0, R, sides=False)
+    assert ball.stats.rule == "sides" and ref.stats.rule == "generators"
+    assert not ref.truncated
+    assert_same_elements(ball.matrices(), ref.matrices())
+
+
+@pytest.fixture(scope="module")
+def off_centre():
+    """Bolza's Dirichlet domain at z = (0.3, 1.2) has 18 sides; returns
+    z and one side pairing of each inverse pair, 9 elements.  Every
+    gamma that can cut that domain moves z by at most 2 * radius, so z0
+    by at most 2 * radius + 2 d(z0, z) < 7: the envelope of the ball of
+    radius 7 at z0 is exact."""
+    G = builtin_group("bolza")
+    z = Point(0.3, 1.2)
+    els = [g for g, _ in group_ball(G, G.base_point, 7.0).elements]
+    area, radius, sides = fuchsian._envelope(
+        dataclasses.replace(G, base_point=z), els, math.inf)
+    assert 2.0 * radius + 2.0 * hyp_dist(z, G.base_point) < 7.0
+    assert area == pytest.approx(4.0 * math.pi, rel=1e-12)
+    assert sides.shape == (3, 18)
+    rows = fuchsian._polar(z, els)[2]
+    gap = np.abs(sides.T[:, None, :] - rows.T[None, :, :]).max(axis=2)
+    pairings = []
+    for g in (els[k] for k in gap.argmin(axis=1)):
+        if not any(g.inverse().approx_eq(h, tol=1e-9) for h in pairings):
+            pairings.append(g)
+    assert len(pairings) == 9
+    return z, pairings
+
+
+def test_sides_rule_off_centre(off_centre, bolza_reference):
+    """The 9 side pairings at z generate the group and, as generators
+    with base point z, get the sides rule.  Their balls about z hold the
+    elements of Bolza's reference ball that move z by at most R, as
+    d(z0, gamma z0) <= d(z, gamma z) + 2 d(z0, z) <= 6 + 0.66 < 9."""
+    z, pairings = off_centre
+    G = GroupSpec(generators=pairings, name="bolza-off-centre",
+                  max_word_length=60, base_point=z)
+    for R in (4.0, 6.0):
+        ball = group_ball(G, z, R)
+        assert ball.stats.rule == "sides"
+        assert_same_elements(ball.matrices(), _within(bolza_reference, z, R))
+
+
+def test_side_check_finds_a_missing_side(bolza_group, off_centre,
+                                         bolza_reference):
+    """Bolza's 4 generators and all but one of the other side pairings
+    at z: for the first pairing s whose removal leaves the generators'
+    domain bounded, D at z builds, but its sides s and s^-1 are not
+    letters, so the ball about z falls back to the generators rule."""
+    z, pairings = off_centre
+    octagon = bolza_group.generators
+
+    def in_octagon(g):
+        return any(g.approx_eq(h, tol=1e-9) or g.inverse().approx_eq(
+            h, tol=1e-9) for h in octagon)
+
+    others = [g for g in pairings if not in_octagon(g)]
+    assert len(others) == 5
+    for s in others:
+        G = GroupSpec(generators=octagon + tuple(g for g in others
+                                                  if g is not s),
+                      max_word_length=40, base_point=z)
+        try:
+            fuchsian._envelope(G, _doubled_generators(G)[0], math.inf)
+        except ValueError:
+            continue
+        break
+    else:
+        pytest.fail("every choice leaves the generators' domain unbounded")
+    assert fuchsian._domain(G).sides.shape == (3, 18)
+    ball = group_ball(G, z, 4.0)
+    assert ball.stats.rule == "generators"
+    assert_same_elements(ball.matrices(), _within(bolza_reference, z, 4.0))
+
+
+def test_other_generators_fall_back_to_the_generators_rule(bolza_group):
+    """g2 replaced by g1 g2^-1 still generates Bolza's group, but the
+    sides of D are no longer all letters (its generators' domain is not
+    even bounded), so the ball is pruned at R + 2 delta_max and is
+    whole.  Pruned at R it would miss elements: 7 of 8 at R = 4 and 88
+    of 96 at R = 6.  No test on the builtins can catch a wrong side
+    check, because their generators are the side pairings; the proof in
+    the module docstring carries that weight (the off-centre test above
+    checks the row comparison itself)."""
+    g = bolza_group.generators
+    G = dataclasses.replace(
+        bolza_group, generators=(g[0], g[0] @ g[1].inverse()) + g[2:])
+    z0 = G.base_point
+    for R, count in ((4.0, 8), (6.0, 96)):
+        ball = group_ball(G, z0, R)
+        assert ball.stats.rule == "generators"
+        assert_same_elements(ball.matrices(),
+                             group_ball(bolza_group, z0, R).matrices())
+        assert len(ball) == count
+        assert len(fuchsian._enumerate(G, z0, R, sides=True)) < count
+
+
+def test_sides_rule_candidates(bolza_group):
+    """Pruned at R, the Bolza ball of radius 4 tries the 8 generators
+    and their 56 reduced extensions; pruned at R + 2 delta_max it tried
+    41 616 candidates."""
+    stats = group_ball(bolza_group, bolza_group.base_point, 4.0).stats
+    assert stats.rule == "sides"
+    assert (stats.candidates, stats.kept) == (64, 8)
+
+
 def test_cached_ball_cannot_be_changed(bolza_group):
     G, z = bolza_group, bolza_group.base_point
     ball = group_ball(G, z, 4.0)
