@@ -293,7 +293,7 @@ def test_other_generators_fall_back_to_the_generators_rule(bolza_group):
 
 def test_sides_rule_candidates(bolza_group):
     """Pruned at R, the Bolza ball of radius 4 tries the 8 generators
-    and their 56 reduced extensions; pruned at R + 2 delta_max it tried
+    and their 56 reduced extensions; pruned at R + 2 delta_max it tries
     41 616 candidates."""
     stats = group_ball(bolza_group, bolza_group.base_point, 4.0).stats
     assert stats.rule == "sides"
