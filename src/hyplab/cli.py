@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HyplabError
 from .geom import (Point, hyp_dist, ball_volume, polar_from, polar_to,
-                   sample_ball_complex, _dist_c)
+                   sample_ball_complex, _dist_c, _threads)
 from . import fuchsian, selberg, spectral_action, propagator, trace, qe
 
 
@@ -62,7 +62,8 @@ class _Run:
                 os.remove(os.path.join(self.out_dir, name))
         self.outputs = []
         self.tolerances = {}
-        self.diagnostics = {}
+        # the size of the block pool that the Monte Carlo loops run on
+        self.diagnostics = {"threads": _threads()}
         self.t0 = time.monotonic()
 
     def path(self, name):

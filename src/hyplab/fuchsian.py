@@ -102,7 +102,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EnumerationTruncated
-from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK,
+from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK, _blockwise,
                    _canonical_batch, _disc_chart, _dist_c, _mobius_batch,
                    mobius_apply, polar_to, sample_ball_complex)
 
@@ -443,16 +443,17 @@ def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
     mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
     moved = np.empty_like(zc)
     moved_comp = None if companion is None else np.empty_like(companion)
-    # blocks of points keep the (len(mats), block) temporaries bounded
-    step = max(1, _SAMPLE_BLOCK // len(mats))
-    for lo in range(0, len(zc), step):
-        blk = slice(lo, lo + step)
+
+    def block(blk):
         gz = _mobius_batch(mats, zc[blk])
         pick = np.argmin(_dist_c(np.full(gz.shape, z0c), gz), axis=0)
         idx = np.arange(len(pick))
         moved[blk] = gz[pick, idx]
         if companion is not None:
             moved_comp[blk] = _mobius_batch(mats, companion[blk])[pick, idx]
+
+    # blocks of points keep the (len(mats), block) temporaries bounded
+    _blockwise(block, len(zc), max(1, _SAMPLE_BLOCK // len(mats)))
     return moved, moved_comp
 
 
@@ -467,15 +468,16 @@ def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
     cos_g, sin_g, tanh_g = _domain(G).sides[:, :, None]
     zc = np.asarray(zc)
     mask = np.empty(zc.shape, dtype=bool)
-    # blocks of points keep the (sides, block) temporaries bounded
-    step = max(1, _SAMPLE_BLOCK // len(cos_g))
-    for lo in range(0, len(zc), step):
-        blk = slice(lo, lo + step)
+
+    def block(blk):
         w = _disc_chart(G.base_point.as_complex, zc[blk])
         u, v = w.real, w.imag
         mask[blk] = np.all(
             2.0 * (u * cos_g + v * sin_g) < tanh_g * (1.0 + (u * u + v * v)),
             axis=0)
+
+    # blocks of points keep the (sides, block) temporaries bounded
+    _blockwise(block, len(zc), max(1, _SAMPLE_BLOCK // len(cos_g)))
     return mask
 
 

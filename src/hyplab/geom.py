@@ -10,11 +10,19 @@ Conventions
   through ``_polar_batch``, and every radius drawn with the area law of a
   ball through ``_radial_icdf``.
 * All operations are pure; samplers take explicit seeds.
+* Loops over blocks of points run through ``_blockwise``, on a thread
+  pool of one thread per usable core.  Random numbers are drawn in the
+  calling thread before the blocks run, each block writes only its own
+  slice and every reduction runs over the whole array afterwards, so
+  results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,9 +235,67 @@ def sample_ball(z0: Point, r: float, n: int, seed: int) -> list:
 
 _SAMPLE_BLOCK = 1 << 16
 
+_POOL_PREFIX = "hyplab-block"
+_pool = None
+_pool_lock = threading.Lock()
 
-def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
-    """Vectorized form of sample_ball, returning a complex array."""
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads: start afresh
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _threads() -> int:
+    """The number of cores this process may run on: the size of the
+    block pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _blockwise(fn, n: int, step: int = _SAMPLE_BLOCK) -> None:
+    """Call fn(slice(j, j + step)) for every block of range(n).
+
+    With two or more blocks and two or more usable cores, the blocks run
+    on one process-wide pool of ``_threads()`` threads, created on first
+    use; NumPy releases the GIL inside its array loops.  Otherwise, and
+    inside a block (a nested call), they run inline in order.  fn must
+    write only its own slice.  The first exception raised by a block, in
+    block order, reaches the caller unchanged, and no block is still
+    running when the call returns or raises."""
+    global _pool
+    blocks = [slice(j, j + step) for j in range(0, n, step)]
+    if (len(blocks) < 2 or _threads() < 2
+            or threading.current_thread().name.startswith(_POOL_PREFIX)):
+        for blk in blocks:
+            fn(blk)
+        return
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_threads(),
+                                       thread_name_prefix=_POOL_PREFIX)
+    futures = [_pool.submit(fn, blk) for blk in blocks]
+    try:
+        for fut in futures:
+            fut.result()
+    finally:
+        for fut in futures:
+            fut.cancel()
+        wait(futures)
+
+
+def _ball_map(z0: Point, r: float, n: int, seed: int, fn,
+              dtype=float) -> np.ndarray:
+    """fn(points) for ``_blockwise``'s blocks of n uniform points of
+    B(z0, r), as one array of the given dtype.  The points come from one
+    generator for the seed, all n area-law variates first, then all n
+    angles; the draws are freed on return."""
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if n < 1:
@@ -237,10 +303,18 @@ def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     theta = rng.random(n)
-    out = np.empty(n, dtype=complex)
+    z0c = z0.as_complex
+    out = np.empty(n, dtype=dtype)
+
+    def block(blk):
+        out[blk] = fn(_polar_batch(z0c, TWO_PI * theta[blk],
+                                   _radial_icdf(u[blk], r)))
+
     # blocks keep the temporaries small enough to be reused, not faulted in
-    for j in range(0, n, _SAMPLE_BLOCK):
-        blk = slice(j, j + _SAMPLE_BLOCK)
-        out[blk] = _polar_batch(z0.as_complex, TWO_PI * theta[blk],
-                                _radial_icdf(u[blk], r))
+    _blockwise(block, n)
     return out
+
+
+def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
+    """Vectorized form of sample_ball, returning a complex array."""
+    return _ball_map(z0, r, n, seed, lambda pts: pts, complex)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import (Point, ball_volume, hyp_dist, _dist_c, _disc_chart,
-                   _polar_batch, _radial_icdf, polar_from, polar_to,
-                   sample_ball_complex, TWO_PI, _SAMPLE_BLOCK)
+from .geom import (Point, ball_volume, hyp_dist, _ball_map, _dist_c,
+                   _disc_chart, _polar_batch, _radial_icdf, polar_from,
+                   polar_to, sample_ball_complex, TWO_PI, _SAMPLE_BLOCK)
 from .fuchsian import (GroupSpec, dirichlet_domain, systole,
                        thin_part_fraction, reduce_to_domain, _domain_samples)
 from .selberg import _gauss_legendre
@@ -32,7 +32,9 @@ from .selberg import _gauss_legendre
 class Observable:
     """A bounded real observable on the plane (or on the quotient, when
     group-periodic).  ``eval`` must accept a complex numpy array of
-    points z = x + iy and return real values."""
+    points z = x + iy and return real values.  It may run on several
+    threads at once, each on its own block of points, so it must not
+    mutate shared state."""
 
     eval: callable
     sup_bound: float
@@ -132,11 +134,9 @@ def apply_Pt(u: Observable, z: Point, t: float, n: int,
     """P_t u(z) by Monte Carlo over the ball B(z, t)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    pts = sample_ball_complex(z, t, n, seed)
-    vals = np.empty(n)
-    # blocks keep the observable's temporaries small enough to be reused
-    for j in range(0, n, _SAMPLE_BLOCK):
-        vals[j:j + _SAMPLE_BLOCK] = u.eval(pts[j:j + _SAMPLE_BLOCK])
+    # each block is sampled and evaluated at once, so no n-point array
+    # of points is built, and the draws are freed before the mean
+    vals = _ball_map(z, t, n, seed, u.eval)
     return MCEstimate.of(vals, ball_volume(t) / math.sqrt(math.cosh(t)))
 
 

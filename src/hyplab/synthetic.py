@@ -37,6 +37,10 @@ from .selberg import heat_kernel, _quad
 # finite float: about 354.9.
 _W_MAX = 0.5 * math.log(sys.float_info.max)
 
+# The most circular modes n >= 1 that cylinder_spectrum solves for, one
+# tridiagonal solve each; their number grows like cosh(W).
+_MAX_MODES = 2_000
+
 
 def radial_mode_eigenvalues(nu: float, W: float, n_grid: int = 1500,
                             lam_max: float = None) -> np.ndarray:
@@ -76,12 +80,21 @@ def cylinder_spectrum(L: float, W: float, lam_max: float, degree: int = 1,
                       n_grid: int = 1500) -> EigenData:
     """EigenData for the degree-m cover of the truncated cylinder of
     core length L and half-width W: all Neumann eigenvalues up to
-    lam_max (circular modes n != 0 carry multiplicity two)."""
+    lam_max (circular modes n != 0 carry multiplicity two).  ValueError
+    when more than ``_MAX_MODES`` circular modes n >= 1 lie below
+    lam_max, before any is solved."""
     if not (degree >= 1 and 0.0 < L < math.inf and 0.0 < W <= _W_MAX):
         raise ValueError("need degree >= 1, finite L > 0 and "
                          f"0 < W <= {_W_MAX:.1f}, where cosh(W) ** 2 is "
                          "finite")
     mL = degree * L
+    # the loop below solves the modes n >= 1 with nu^2 / cosh(W)^2 <= lam_max,
+    # nu = 2 pi n / mL: floor(modes) of them
+    modes = mL * math.sqrt(max(lam_max, 0.0)) * math.cosh(W) / (2.0 * math.pi)
+    if not modes < _MAX_MODES + 1:  # also for lam_max = inf or nan
+        raise ValueError(f"the cylinder has {modes:.4g} circular modes up to "
+                         f"lam_max, more than synthetic._MAX_MODES = "
+                         f"{_MAX_MODES}; lower W, L, degree or lam_max")
     vol = 2.0 * mL * math.sinh(W)
     evs = list(radial_mode_eigenvalues(0.0, W, n_grid, lam_max))
     n = 1

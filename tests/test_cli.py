@@ -4,10 +4,12 @@ manifest) and determinism."""
 import csv
 import json
 import math
+import time
 
 import pytest
 
 from hyplab.cli import run
+from hyplab.geom import _threads
 from hyplab.spectral_action import SpectralInterval, time_average_table
 
 
@@ -23,6 +25,7 @@ def test_geom_check_success(tmp_path):
     assert man["seed"] == 0
     assert man["wall_time"] >= 0.0
     assert man["outputs"]
+    assert man["diagnostics"]["threads"] == _threads() >= 1
 
 
 def test_usage_error_exit_2(tmp_path):
@@ -181,16 +184,23 @@ def test_malformed_group_is_a_clean_error(tmp_path):
     (["trace", "pretrace", "--L", "0"], 1),
     (["trace", "pretrace", "--W", "0"], 1),
     (["trace", "pretrace", "--W", "700", "--n-grid", "100"], 1),
+    (["trace", "pretrace", "--W", "354", "--n-grid", "100"], 1),
+    (["trace", "pretrace", "--lam-max", "nan"], 1),
     (["qe", "--eigen", "e.json", "--observable", "o.json",
       "--interval", "1,2,"], 2)],
     ids=["interval-3", "grid-n-1", "grid-n-0", "window-1", "window-letter",
-         "degrees-0", "degree-0", "L-0", "W-0", "W-700", "qe-interval"])
+         "degrees-0", "degree-0", "L-0", "W-0", "W-700", "W-354",
+         "lam-max-nan", "qe-interval"])
 def test_malformed_input_is_a_clean_error(tmp_path, argv, code):
     """A malformed pair is a usage error (exit 2, nothing written); a
-    degenerate cylinder or s-grid is a ValueError (exit 1, error.json);
-    neither raises, warns or leaves a manifest."""
+    degenerate cylinder or s-grid, or a cylinder with more circular
+    modes than ``synthetic._MAX_MODES``, is a ValueError (exit 1,
+    error.json); none raises, warns, leaves a manifest or runs for
+    more than seconds."""
     out = tmp_path / "o"
+    t0 = time.monotonic()
     assert run(argv + ["--out", str(out)]) == code
+    assert time.monotonic() - t0 < 20.0
     assert not (out / "manifest.json").exists()
     if code == 1:
         err = json.loads((out / "error.json").read_text())

@@ -14,7 +14,8 @@ from hyplab import fuchsian
 from hyplab.cli import run
 from hyplab.errors import EnumerationTruncated
 from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
-                         sample_ball_complex, _dist_c, _mobius_batch)
+                         sample_ball_complex, _dist_c, _mobius_batch,
+                         _SAMPLE_BLOCK)
 from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
                              save_group, group_ball, injectivity_radius,
                              dirichlet_mask, reduce_to_domain, systole,
@@ -462,6 +463,18 @@ def test_reduce_to_domain_is_the_brute_force_argmin(name):
     assert np.array_equal(moved_comp, _mobius_batch(mats, comp)[pick, idx])
     assert np.allclose(_dist_c(moved, moved_comp), _dist_c(zc, comp),
                        rtol=0, atol=1e-9)
+
+
+def test_mask_and_reduction_are_thread_count_independent(bolza_group,
+                                                         on_cores):
+    G = bolza_group
+    zc = sample_ball_complex(G.base_point, 3.0, 2 * _SAMPLE_BLOCK + 7, 8)
+    comp = sample_ball_complex(G.base_point, 1.0, len(zc), 9)
+    assert np.array_equal(on_cores(2, dirichlet_mask, G, zc),
+                          on_cores(1, dirichlet_mask, G, zc))
+    threaded = on_cores(2, reduce_to_domain, G, zc, comp)
+    serial = on_cores(1, reduce_to_domain, G, zc, comp)
+    assert all(map(np.array_equal, threaded, serial))
 
 
 def test_reduce_to_domain_empty_input(bolza_group):

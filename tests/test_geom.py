@@ -2,15 +2,20 @@
 sampling."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyplab import geom
 from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
                          ball_volume, polar_from, polar_to, sample_ball,
                          sample_ball_complex, _mobius_batch, _canonical_batch,
-                         _dist_c, _polar_batch, _SAMPLE_BLOCK, TWO_PI)
+                         _dist_c, _polar_batch, _blockwise, _SAMPLE_BLOCK,
+                         TWO_PI)
 
 # bounded coordinate ranges keep cosh arguments well inside double range
 coords = st.floats(-5.0, 5.0)
@@ -181,6 +186,93 @@ def test_sample_ball_blocks_are_one_batch():
     rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
     assert np.array_equal(sample_ball_complex(z0, R, n, seed=21),
                           _polar_batch(z0.as_complex, theta, rho))
+
+
+def test_blockwise_runs_every_block_once_on_the_pool(on_cores):
+    """Every block runs once, off the calling thread, and a block that
+    calls _blockwise again runs its own blocks inline."""
+    runs, nested = [], []
+
+    def block(blk):
+        runs.append((blk.start, blk.stop, threading.current_thread()))
+        _blockwise(lambda inner: nested.append(inner.start), 3, 1)
+
+    B = _SAMPLE_BLOCK
+    on_cores(2, _blockwise, block, 2 * B + 7)
+    assert sorted((lo, hi) for lo, hi, _ in runs) == [
+        (0, B), (B, 2 * B), (2 * B, 3 * B)]
+    assert threading.current_thread() not in {th for _, _, th in runs}
+    assert sorted(nested) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+
+def test_blockwise_starts_no_pool_for_one_block_or_one_core(
+        monkeypatch, on_cores):
+    monkeypatch.setattr(geom, "_pool", None)
+    on_cores(2, sample_ball_complex, Point(0.0, 1.0), 1.0, _SAMPLE_BLOCK, 3)
+    on_cores(2, _blockwise, lambda blk: None, 0)
+    on_cores(1, sample_ball_complex, Point(0.0, 1.0), 1.0,
+             2 * _SAMPLE_BLOCK + 7, 3)
+    assert geom._pool is None
+
+
+def test_blockwise_raises_the_first_failing_block(on_cores):
+    errors = [ValueError("block 1"), ValueError("block 2")]
+
+    def block(blk):
+        if blk.start:
+            raise errors[blk.start // _SAMPLE_BLOCK - 1]
+
+    for k in (1, 2):
+        with pytest.raises(ValueError) as info:
+            on_cores(k, _blockwise, block, 2 * _SAMPLE_BLOCK + 7)
+        assert info.value is errors[0]
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch, on_cores):
+    """Eight caller threads, released at once with frequent thread
+    switches and a slow pool constructor, create one pool between them
+    and each get the serial sample."""
+    made = []
+
+    class Counted(geom.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+
+    args = (Point(0.2, 1.3), 1.5, 2 * _SAMPLE_BLOCK + 7, 4)
+    serial = on_cores(1, sample_ball_complex, *args)
+    monkeypatch.setattr(geom, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(geom, "_pool", None)
+    monkeypatch.setattr(geom, "_threads", lambda: 2)
+    results = [None] * 8
+    start = threading.Barrier(8)
+
+    def caller(i):
+        start.wait(timeout=60.0)
+        results[i] = sample_ball_complex(*args)
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in callers:
+            th.start()
+        for th in callers:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        if geom._pool is not None:
+            geom._pool.shutdown()
+    assert not any(th.is_alive() for th in callers)
+    assert len(made) == 1
+    assert all(np.array_equal(r, serial) for r in results)
+
+
+def test_sample_ball_is_thread_count_independent(on_cores):
+    args = (Point(0.2, 1.3), 2.5, 2 * _SAMPLE_BLOCK + 7, 17)
+    assert np.array_equal(on_cores(2, sample_ball_complex, *args),
+                          on_cores(1, sample_ball_complex, *args))
 
 
 def test_sample_ball_radial_law():

@@ -2,6 +2,7 @@
 estimates, the midpoint change of variables, and the Hilbert-Schmidt
 estimator against an exact reference."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,12 +11,13 @@ from scipy import integrate
 
 from hyplab.fuchsian import dirichlet_domain
 from hyplab.geom import (Point, ball_volume, polar_from, sample_ball_complex,
-                         _SAMPLE_BLOCK)
+                         _dist_c, _SAMPLE_BLOCK)
 from hyplab.propagator import (Observable, const_observable, lens_halfwidth,
                                apply_Pt, kernel_PtaPt, intersection_volume,
                                pythagoras_check, midpoint_change_of_var_check,
                                ergodic_average_decay, hs_norm_estimate,
                                lens_volume)
+from hyplab.selberg import spherical_oracle
 
 
 def test_lens_halfwidth_closed_form():
@@ -123,6 +125,31 @@ def test_apply_pt_blocks_are_one_evaluation():
     est = apply_Pt(u, z, t, n, seed=3)
     assert est.value == scale * float(vals.mean())
     assert est.error == scale * float(vals.std(ddof=1)) / math.sqrt(n)
+
+
+def test_apply_pt_is_thread_count_independent(on_cores):
+    phi = spherical_oracle(1.0, 9.0)
+    u = Observable(eval=lambda p: phi(_dist_c(p, 1j)), sup_bound=1.0)
+    args = (u, Point(0.0, 1.0), 2.0, 2 * _SAMPLE_BLOCK + 7, 5)
+    threaded = on_cores(2, apply_Pt, *args)
+    serial = on_cores(1, apply_Pt, *args)
+    assert (threaded.value, threaded.error) == (serial.value, serial.error)
+
+
+def test_apply_pt_passes_on_an_error_of_the_second_block(on_cores):
+    err = ValueError("second block")
+
+    def eval_(p):
+        if next(calls) == 1:
+            raise err
+        return np.ones(len(p))
+
+    for k in (1, 2):
+        calls = itertools.count()
+        with pytest.raises(ValueError) as info:
+            on_cores(k, apply_Pt, Observable(eval=eval_, sup_bound=1.0),
+                     Point(0.0, 1.0), 1.0, 2 * _SAMPLE_BLOCK + 7, 5)
+        assert info.value is err
 
 
 def test_kernel_vanishes_beyond_support():

@@ -15,7 +15,16 @@ law of a ball, arccosh(1.0 + u * (cosh(R) - 1.0)), is written only in
 ``geom._radial_icdf``, the Abel substitution arccosh(x + v * v) is
 written only in ``selberg._abel_gl``, SciPy's adaptive ``quad`` is
 called only in the checked ``selberg._quad``, and the cosh ratio of
-h_t is taken only in its one rule, ``spectral_action._h_t_nodes``."""
+h_t is taken only in its one rule, ``spectral_action._h_t_nodes``, and
+a ``for`` loop (or comprehension) over range(start, stop, step), the
+block stride, is written only in the block map ``geom._blockwise``.
+Two loops stay serial and are named exemptions: the enumerator
+``fuchsian._enumerate``, whose blocks build candidate lists of varying
+length and whose ``group`` commands take milliseconds, and the lens
+sampler ``propagator._lens_blocks``, which draws inside every block, so
+that running its blocks apart would first hold every draw at once.
+A function nested in another (a block closure) counts as part of the
+function that encloses it."""
 
 import ast
 import pathlib
@@ -34,15 +43,18 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "radial law": {"_radial_icdf"},
            "abel substitution": {"_abel_gl"},
            "quad": {"_quad"},
-           "cosh ratio": {"_h_t_nodes"}}
+           "cosh ratio": {"_h_t_nodes"},
+           "block stride": {"_blockwise", "_enumerate", "_lens_blocks"}}
 
 
 def _walk(node, func=None):
-    """Yield every descendant with the name of its innermost enclosing
-    function (None at module level)."""
+    """Yield every descendant with the name of its outermost enclosing
+    function (None at module level): a nested function belongs to the
+    function that defines it."""
     for child in ast.iter_child_nodes(node):
         yield child, func
-        inner = child.name if isinstance(child, ast.FunctionDef) else func
+        inner = (child.name if isinstance(child, ast.FunctionDef)
+                 and func is None else func)
         yield from _walk(child, inner)
 
 
@@ -117,6 +129,14 @@ def _is_abel_substitution(node):
             and arg.right.left.id == arg.right.right.id)
 
 
+def _is_block_stride(node):
+    """A for loop or comprehension over range(start, stop, step)."""
+    it = getattr(node, "iter", None)
+    return (isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(it, ast.Call) and _name(it.func) == "range"
+            and len(it.args) == 3)
+
+
 def _sites():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -154,6 +174,9 @@ def _sites():
                 yield "radial law", path.name, node.lineno, func
             if _is_abel_substitution(node):
                 yield "abel substitution", path.name, node.lineno, func
+            if _is_block_stride(node):
+                yield ("block stride", path.name,
+                       getattr(node, "lineno", node.iter.lineno), func)
             if _is_block(node):
                 yield ("block", path.name, node.lineno,
                        f"{path.stem}.{targets.get(id(node), func)}")
