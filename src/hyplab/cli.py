@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .errors import HyplabError
-from .geom import (Point, hyp_dist, ball_volume, polar_from, polar_to,
+from .geom import (Point, ball_volume, polar_from, polar_to,
                    sample_ball_complex, _dist_c, _threads)
 from . import fuchsian, selberg, spectral_action, propagator, trace, qe
 
@@ -194,11 +194,9 @@ def _kernel_by_name(name, t):
     if name == "disc":
         return selberg.disc_kernel(t)
     if name == "heat":
-        prof, rho_max = selberg._heat_profile(t)
         return selberg.RadialKernel(
-            eval=lambda rho: np.where(np.abs(rho) <= rho_max,
-                                      prof(np.abs(rho)), 0.0),
-            support=rho_max)
+            eval=lambda rho: selberg.heat_kernel(t, rho),
+            support=selberg._heat_profile(t)[1])
     raise argparse.ArgumentTypeError(f"unknown kernel '{name}'")
 
 

@@ -102,9 +102,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EnumerationTruncated
-from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK, _blockwise,
-                   _canonical_batch, _disc_chart, _dist_c, _mobius_batch,
-                   mobius_apply, polar_to, sample_ball_complex)
+from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK, _blockmap,
+                   _blockwise, _canonical_batch, _disc_chart, _dist_c,
+                   _mobius_batch, mobius_apply, polar_to, sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
 # floating-point error (~1e-9 for entries of size e^{R/2} at word length
@@ -411,8 +411,12 @@ def _complete(G: GroupSpec, ball: GroupBall) -> GroupBall:
 
 def min_displacement_batch(ball: GroupBall, zc: np.ndarray) -> np.ndarray:
     """Minimum over ball elements of d(z, gamma z) for an array of
-    complex points; used by the thin-part estimator."""
-    return _displacement(ball.matrices(), zc).min(axis=0, initial=np.inf)
+    complex points (infinite for an empty ball); used by the thin-part
+    estimator and the injectivity radius."""
+    mats, zc = ball.matrices(), np.asarray(zc)
+    # blocks of points keep the (len(ball), block) temporaries bounded
+    return _blockmap(lambda blk: _displacement(mats, zc[blk]).min(
+        axis=0, initial=np.inf), len(zc), len(mats))
 
 
 def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
@@ -424,7 +428,7 @@ def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
     ball = group_ball(G, z, R_cap)
     if not ball.elements:
         return R_cap / 2.0
-    return 0.5 * float(ball.displacements().min())
+    return 0.5 * float(min_displacement_batch(ball, [z.as_complex])[0])
 
 
 def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
@@ -467,18 +471,16 @@ def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
     as from ``dirichlet_domain``, if D is unbounded."""
     cos_g, sin_g, tanh_g = _domain(G).sides[:, :, None]
     zc = np.asarray(zc)
-    mask = np.empty(zc.shape, dtype=bool)
 
     def block(blk):
         w = _disc_chart(G.base_point.as_complex, zc[blk])
         u, v = w.real, w.imag
-        mask[blk] = np.all(
+        return np.all(
             2.0 * (u * cos_g + v * sin_g) < tanh_g * (1.0 + (u * u + v * v)),
             axis=0)
 
     # blocks of points keep the (sides, block) temporaries bounded
-    _blockwise(block, len(zc), max(1, _SAMPLE_BLOCK // len(cos_g)))
-    return mask
+    return _blockmap(block, len(zc), len(cos_g), bool)
 
 
 class _Domain(NamedTuple):

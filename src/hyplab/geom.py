@@ -55,10 +55,10 @@ class MobiusElement:
     """An element of PSL(2, R): a real 2x2 matrix of determinant one
     modulo sign.
 
-    The constructor renormalizes the determinant to 1 and fixes the
-    canonical sign (first entry of (a, b, c, d) exceeding 1e-12 in
-    magnitude is made positive), so equality of group elements is
-    testable by comparing entries.
+    The constructor puts the entries in the normal form of
+    ``_canonical_batch`` (determinant 1, and the first entry of
+    (a, b, c, d) exceeding 1e-12 in magnitude positive), so equality of
+    group elements is testable by comparing entries.
     """
 
     a: float
@@ -67,21 +67,9 @@ class MobiusElement:
     d: float
 
     def __post_init__(self):
-        a, b, c, d = float(self.a), float(self.b), float(self.c), float(self.d)
-        det = a * d - b * c
-        if det <= 0.0:
-            raise ValueError(f"determinant must be positive, got {det}")
-        s = 1.0 / math.sqrt(det)
-        a, b, c, d = a * s, b * s, c * s, d * s
-        for entry in (a, b, c, d):
-            if abs(entry) > 1e-12:
-                if entry < 0.0:
-                    a, b, c, d = -a, -b, -c, -d
-                break
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        row = _canonical_batch(np.array([self.entries], dtype=float))[0]
+        for name, value in zip("abcd", row.tolist()):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _raw(cls, a, b, c, d):
@@ -99,10 +87,6 @@ class MobiusElement:
     @property
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
 
     def inverse(self) -> "MobiusElement":
         return MobiusElement(self.d, -self.b, -self.c, self.a)
@@ -140,13 +124,14 @@ def _mobius_batch(mats: np.ndarray, zc) -> np.ndarray:
 
 def _canonical_batch(mats: np.ndarray) -> np.ndarray:
     """Rows (a, b, c, d) renormalized to determinant one with the
-    canonical sign: the same operations as MobiusElement's constructor,
-    so each row equals the entries of MobiusElement(a, b, c, d) bit for
-    bit.  Returns a new (N, 4) array."""
+    canonical sign: the first entry exceeding 1e-12 in magnitude is made
+    positive.  The normal form of PSL(2, R), also applied by
+    MobiusElement's constructor.  Returns a new (N, 4) array."""
     a, b, c, d = mats.T
     det = a * d - b * c
     if np.any(det <= 0.0):
-        raise ValueError("determinant must be positive")
+        raise ValueError(
+            f"determinant must be positive, got {float(det.min())}")
     out = mats * (1.0 / np.sqrt(det))[:, None]
     # after scaling det = 1, so every row has an entry above 1e-12
     first = (np.abs(out) > 1e-12).argmax(axis=1)
@@ -290,9 +275,23 @@ def _blockwise(fn, n: int, step: int = _SAMPLE_BLOCK) -> None:
         wait(futures)
 
 
+def _blockmap(fn, n: int, width: int = 1, dtype=float) -> np.ndarray:
+    """fn(blk) for ``_blockwise``'s blocks of range(n), written into one
+    array of n values of the given dtype.  A block holds
+    max(1, _SAMPLE_BLOCK // width) items, so a block whose temporaries
+    are width values per item stays near _SAMPLE_BLOCK values."""
+    out = np.empty(n, dtype=dtype)
+
+    def block(blk):
+        out[blk] = fn(blk)
+
+    _blockwise(block, n, max(1, _SAMPLE_BLOCK // max(width, 1)))
+    return out
+
+
 def _ball_map(z0: Point, r: float, n: int, seed: int, fn,
               dtype=float) -> np.ndarray:
-    """fn(points) for ``_blockwise``'s blocks of n uniform points of
+    """fn(points) for ``_blockmap``'s blocks of n uniform points of
     B(z0, r), as one array of the given dtype.  The points come from one
     generator for the seed, all n area-law variates first, then all n
     angles; the draws are freed on return."""
@@ -304,15 +303,9 @@ def _ball_map(z0: Point, r: float, n: int, seed: int, fn,
     u = rng.random(n)
     theta = rng.random(n)
     z0c = z0.as_complex
-    out = np.empty(n, dtype=dtype)
-
-    def block(blk):
-        out[blk] = fn(_polar_batch(z0c, TWO_PI * theta[blk],
-                                   _radial_icdf(u[blk], r)))
-
     # blocks keep the temporaries small enough to be reused, not faulted in
-    _blockwise(block, n)
-    return out
+    return _blockmap(lambda blk: fn(_polar_batch(
+        z0c, TWO_PI * theta[blk], _radial_icdf(u[blk], r))), n, dtype=dtype)
 
 
 def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:

@@ -9,8 +9,10 @@ P_t a P_t is (cosh t)^{-1} Integral_{B(z,t) cap B(w,t)} a d mu, which
 vanishes identically once d(z,w) > 2t.  The lens with center separation
 r has perpendicular half-width rho, cosh rho = cosh t / cosh(r/2), and
 every Monte Carlo lens integral samples the ball B(m, rho) about the
-lens midpoint m, which contains the lens.  Pair points, midpoints and
-sample points are all placed by ``geom._polar_batch``.
+lens midpoint m, which contains the lens, through the one lens sampler
+``_lens_blocks``.  Pair points, midpoints and sample points are all
+placed by ``geom._polar_batch``, and every sample mean with its
+standard error is taken by ``MCEstimate.of``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .geom import (Point, ball_volume, hyp_dist, _ball_map, _dist_c,
                    _disc_chart, _polar_batch, _radial_icdf, polar_from,
-                   polar_to, sample_ball_complex, TWO_PI, _SAMPLE_BLOCK)
+                   polar_to, TWO_PI, _SAMPLE_BLOCK)
 from .fuchsian import (GroupSpec, dirichlet_domain, systole,
                        thin_part_fraction, reduce_to_domain, _domain_samples)
 from .selberg import _gauss_legendre
@@ -56,7 +58,11 @@ class MCEstimate:
 
     @classmethod
     def of(cls, vals, scale: float) -> "MCEstimate":
-        """scale * mean(vals) with its standard error."""
+        """scale * mean(vals) with its standard error: the one place a
+        Monte Carlo mean and its error bar are taken.  ValueError for
+        fewer than two values, which have no error bar."""
+        if len(vals) < 2:
+            raise ValueError("need at least two samples for an error bar")
         return cls(value=scale * float(vals.mean()),
                    error=scale * float(vals.std(ddof=1))
                    / math.sqrt(len(vals)))
@@ -107,26 +113,30 @@ def lens_volume(t: float, r: float) -> float:
     return 4.0 * alpha * math.cosh(t) - 4.0 * beta
 
 
-def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int, seed: int):
+def _lens_mc(a_eval, zc: complex, wc: complex, t: float, n: int,
+             seed: int) -> MCEstimate:
     """Monte Carlo integral of a over B(z,t) cap B(w,t), by rejection from
-    the ball B(m, rho) about the lens midpoint, which contains the lens
-    (``lens_halfwidth``).  Returns (integral, error, acceptance).
-    """
+    n points of the ball B(m, rho) about the lens midpoint, which
+    contains the lens (``lens_halfwidth``), drawn by ``_lens_blocks``.
+    Zero beyond separation 2t, and flagged degenerate when that ball's
+    area is below 1e-12; ``extras['acceptance']`` is the fraction of
+    points in the lens."""
     r = float(_dist_c(np.array(zc), np.array(wc)))
     if r > 2.0 * t:
-        return 0.0, 0.0, 0.0
+        return MCEstimate(value=0.0, error=0.0, extras={"acceptance": 0.0})
     rho = lens_halfwidth(t, r)
-    if rho <= 0.0:
-        return 0.0, 0.0, 0.0
+    if ball_volume(rho) < 1e-12:
+        return MCEstimate(value=0.0, error=0.0,
+                          extras={"degenerate": True, "acceptance": 0.0})
     m = complex(_polar_batch(zc, np.angle(_disc_chart(zc, wc)), 0.5 * r))
-    pts = sample_ball_complex(Point(m.real, m.imag), rho, n, seed)
-    inside = ((_dist_c(pts, np.full(n, zc)) <= t)
-              & (_dist_c(pts, np.full(n, wc)) <= t))
-    vals = np.where(inside, np.asarray(a_eval(pts), dtype=float), 0.0)
-    vol = ball_volume(rho)
-    est = vol * float(vals.mean())
-    err = vol * float(vals.std(ddof=1)) / math.sqrt(n)
-    return est, err, float(inside.mean())
+    rng = np.random.default_rng(seed)
+    (_, pts, d), = _lens_blocks(np.array([m]), rho, np.array([zc]),
+                                np.array([wc]), n, rng)
+    inside = d[0] <= t
+    vals = np.where(inside, np.asarray(a_eval(pts[0]), dtype=float), 0.0)
+    est = MCEstimate.of(vals, ball_volume(rho))
+    est.extras["acceptance"] = float(inside.mean())
+    return est
 
 
 def apply_Pt(u: Observable, z: Point, t: float, n: int,
@@ -142,34 +152,25 @@ def apply_Pt(u: Observable, z: Point, t: float, n: int,
 
 def kernel_PtaPt(a: Observable, z: Point, w: Point, t: float, n: int,
                  seed: int) -> MCEstimate:
-    """The kernel of P_t a P_t at (z, w): zero exactly beyond separation
-    2t, otherwise a lens integral divided by cosh t.
-
-    ``extras['degenerate']`` flags lenses with volume below 1e-12.
+    """The kernel of P_t a P_t at (z, w): the lens integral of
+    ``_lens_mc`` divided by cosh t, so zero exactly beyond separation
+    2t.  ``extras['degenerate']`` flags lenses with volume below 1e-12.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    d = hyp_dist(z, w)
-    if d > 2.0 * t:
-        return MCEstimate(value=0.0, error=0.0, extras={"acceptance": 0.0})
-    rho = lens_halfwidth(t, d)
-    if ball_volume(rho) < 1e-12:
-        return MCEstimate(value=0.0, error=0.0,
-                          extras={"degenerate": True, "acceptance": 0.0})
-    est, err, acc = _lens_mc(a.eval, z.as_complex, w.as_complex, t, n, seed)
+    est = _lens_mc(a.eval, z.as_complex, w.as_complex, t, n, seed)
     ct = math.cosh(t)
-    return MCEstimate(value=est / ct, error=err / ct,
-                      extras={"acceptance": acc})
+    return MCEstimate(value=est.value / ct, error=est.error / ct,
+                      extras=est.extras)
 
 
 def intersection_volume(t: float, r: float, n: int, seed: int) -> MCEstimate:
     """Monte Carlo volume of the lens B(z1,t) cap B(z2,t) at separation r."""
     if not 0.0 <= r <= 2.0 * t:
         raise ValueError("need 0 <= r <= 2t")
-    zc = 1j
-    wc = 1j * math.exp(r)  # vertical geodesic: d(i, i e^r) = r
-    est, err, acc = _lens_mc(lambda p: np.ones(p.shape), zc, wc, t, n, seed)
-    return MCEstimate(value=est, error=err, extras={"acceptance": acc})
+    # vertical geodesic: d(i, i e^r) = r
+    return _lens_mc(lambda p: np.ones(p.shape), 1j, 1j * math.exp(r), t, n,
+                    seed)
 
 
 def pythagoras_check(t: float, r: float) -> float:
@@ -177,14 +178,9 @@ def pythagoras_check(t: float, r: float) -> float:
     perpendicular point at distance rho from the lens midpoint must lie
     at distance exactly t from both centers.  Returns the max defect."""
     z = Point(0.0, 1.0)
-    if r > 0:
-        w = polar_from(z, 0.7, r)
-        m = polar_from(z, 0.7, 0.5 * r)
-        theta_m, _ = polar_to(m, w)  # direction measured at the midpoint
-    else:
-        w = z
-        m = z
-        theta_m = 0.0
+    w = polar_from(z, 0.7, r)
+    m = polar_from(z, 0.7, 0.5 * r)
+    theta_m, _ = polar_to(m, w)  # direction measured at the midpoint
     rho = lens_halfwidth(t, r)
     defects = []
     for dtheta in (0.5 * math.pi, -0.5 * math.pi):

@@ -338,6 +338,8 @@ _HEAT_CACHE_SIZE = 32
 def _heat_profile(t: float):
     """Cached dense spline of the heat kernel p_t together with its
     effective support; built once per t."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
     key = float(t)
     if key in _heat_cache:
         return _heat_cache[key]
@@ -357,12 +359,10 @@ def _heat_profile(t: float):
 
 def heat_kernel(t: float, rho) -> float:
     """p_t(rho): the radial heat kernel at time t (selberg_inverse of
-    the heat multiplier, cached per t)."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    the heat multiplier, cached per t), zero beyond its support."""
     spline, rho_max = _heat_profile(t)
     rho_arr = np.asarray(rho, dtype=float)
-    out = np.where(np.abs(rho_arr) < rho_max, spline(np.abs(rho_arr)), 0.0)
+    out = np.where(np.abs(rho_arr) <= rho_max, spline(np.abs(rho_arr)), 0.0)
     if np.ndim(rho) == 0:
         return float(out)
     return out

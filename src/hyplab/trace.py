@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned
-from .geom import Point
+from .geom import Point, _blockmap
 from .fuchsian import (GroupSpec, dirichlet_domain, group_ball, systole,
                        _displacement, _domain_samples)
+from .propagator import MCEstimate
 from .selberg import heat_kernel, _heat_profile, _quad
 
 
@@ -186,14 +187,19 @@ def geometric_side_domain_integral(G: GroupSpec, t: float, R: float,
     """
     vol_D, radius = dirichlet_domain(G)
     ball = group_ball(G, G.base_point, R + 2.0 * radius)
+    mats = ball.matrices()
     zc = _domain_samples(G, n, seed)
-    disp = _displacement(ball.matrices(), zc)
-    # count each element only while inside its own ball radius R
-    contrib = np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0)
-    value = vol_D * float(contrib.mean())
-    err = vol_D * float(contrib.std(ddof=1)) / math.sqrt(n)
+    # first, so that the heat profile is built before the blocks read it
     tail = vol_D * _geometric_tail_bound(G, t, R)
-    return value, err, tail
+
+    def block(blk):
+        disp = _displacement(mats, zc[blk])
+        # count each element only while inside its own ball radius R
+        return np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0)
+
+    # blocks of points keep the (len(ball), block) temporaries bounded
+    est = MCEstimate.of(_blockmap(block, len(zc), len(mats)), vol_D)
+    return est.value, est.error, tail
 
 
 def heat_trace_spectral(E: EigenData, t: float):

@@ -187,16 +187,23 @@ def test_malformed_group_is_a_clean_error(tmp_path):
     (["trace", "pretrace", "--W", "354", "--n-grid", "100"], 1),
     (["trace", "pretrace", "--lam-max", "nan"], 1),
     (["qe", "--eigen", "e.json", "--observable", "o.json",
-      "--interval", "1,2,"], 2)],
+      "--interval", "1,2,"], 2),
+    (["propagator", "kernel", "--n", "1"], 1),
+    (["propagator", "lens-volume", "--n", "1"], 1),
+    (["propagator", "midpoint-check", "--n", "1"], 1),
+    (["selberg", "forward", "--kernel", "heat", "--t", "0"], 1),
+    (["selberg", "roundtrip", "--kernel", "heat", "--t", "0"], 1)],
     ids=["interval-3", "grid-n-1", "grid-n-0", "window-1", "window-letter",
          "degrees-0", "degree-0", "L-0", "W-0", "W-700", "W-354",
-         "lam-max-nan", "qe-interval"])
+         "lam-max-nan", "qe-interval", "kernel-n-1", "lens-volume-n-1",
+         "midpoint-check-n-1", "forward-heat-t-0", "roundtrip-heat-t-0"])
 def test_malformed_input_is_a_clean_error(tmp_path, argv, code):
     """A malformed pair is a usage error (exit 2, nothing written); a
-    degenerate cylinder or s-grid, or a cylinder with more circular
-    modes than ``synthetic._MAX_MODES``, is a ValueError (exit 1,
-    error.json); none raises, warns, leaves a manifest or runs for
-    more than seconds."""
+    degenerate cylinder or s-grid, a cylinder with more circular modes
+    than ``synthetic._MAX_MODES``, a Monte Carlo estimate from one
+    sample (which has no error bar) or a heat kernel at t = 0 is a
+    ValueError (exit 1, error.json); none raises, warns, leaves a
+    manifest or runs for more than seconds."""
     out = tmp_path / "o"
     t0 = time.monotonic()
     assert run(argv + ["--out", str(out)]) == code

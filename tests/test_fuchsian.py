@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
                              dirichlet_mask, reduce_to_domain, systole,
                              thin_part_fraction, dirichlet_domain,
                              min_displacement_batch, _doubled_generators,
-                             _DEDUP_TOL)
+                             _displacement, _domain_samples, _DEDUP_TOL)
 from hyplab.propagator import midpoint_change_of_var_check
 from hyplab.trace import lattice_count_bound
 
@@ -562,6 +563,32 @@ def test_min_displacement_batch(bolza_group):
     md = min_displacement_batch(ball, zc)
     assert md[0] == pytest.approx(OCT_SYSTOLE, abs=1e-9)
     assert np.all(md >= OCT_SYSTOLE - 1e-9)
+
+
+def test_min_displacement_batch_runs_in_bounded_blocks(bolza_group,
+                                                       on_cores):
+    """The thin-part ball of Bolza at R >= r* (radius 2 r* + 2c, 1144
+    elements) against domain points: blocks of points give the
+    whole-array minimum bit for bit on one core and on two, and hold a
+    few MB instead of the (1144, n) arrays."""
+    G = bolza_group
+    area, radius = dirichlet_domain(G)
+    ball = group_ball(G, G.base_point,
+                      2.0 * math.acosh(1.0 + area / (2.0 * math.pi))
+                      + 2.0 * radius)
+    assert len(ball) == 1144
+    zc = _domain_samples(G, 5000, seed=6)
+    whole = _displacement(ball.matrices(), zc[:1000]).min(axis=0)
+    for cores in (1, 2):
+        md = on_cores(cores, min_displacement_batch, ball, zc)
+        assert np.array_equal(md[:1000], whole)
+    tracemalloc.start()
+    try:
+        min_displacement_batch(ball, zc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_group_spec_validation():

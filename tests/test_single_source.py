@@ -4,10 +4,11 @@ batched Mobius action (a*z + b)/(c*z + d) is written only in
 ``geom._mobius_batch`` (besides the scalar
 ``MobiusElement.apply_complex``) and called only by the displacement
 matrix ``fuchsian._displacement`` and the domain reduction
-``fuchsian.reduce_to_domain``, and the determinant a*d - b*c and the
+``fuchsian.reduce_to_domain``, the determinant a*d - b*c and the
 canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
-written only in ``geom._canonical_batch`` (besides the scalar
-``MobiusElement.__post_init__``), the tridiagonal eigensolver
+written only in ``geom._canonical_batch``, a Monte Carlo error bar, a
+``.std(..., ddof=1)`` call, is taken only in ``MCEstimate.of``, the
+tridiagonal eigensolver
 ``eigh_tridiagonal`` is used only in
 ``synthetic.radial_mode_eigenvalues``, the block size 1 << 16 is
 written only in the assignment of ``geom._SAMPLE_BLOCK``, and the radial
@@ -36,8 +37,9 @@ NODE_SOURCES = {"roots_legendre", "leggauss"}
 ALLOWED = {"nodes": {"_gauss_legendre"},
            "mobius": {"_mobius_batch", "apply_complex"},
            "mobius call": {"_displacement", "reduce_to_domain"},
-           "det": {"_canonical_batch", "__post_init__"},
-           "sign": {"_canonical_batch", "__post_init__"},
+           "det": {"_canonical_batch"},
+           "sign": {"_canonical_batch"},
+           "mc error": {"of"},
            "tridiagonal": {"radial_mode_eigenvalues"},
            "block": {"geom._SAMPLE_BLOCK"},
            "radial law": {"_radial_icdf"},
@@ -86,6 +88,14 @@ def _is_sign_cutoff(node):
             and _name(node.left.func) == "abs"
             and isinstance(node.comparators[0], ast.Constant)
             and node.comparators[0].value == 1e-12)
+
+
+def _is_mc_error(node):
+    """x.std(..., ddof=1), also as np.std(x, ddof=1)."""
+    return (isinstance(node, ast.Call) and _name(node.func) == "std"
+            and any(kw.arg == "ddof"
+                    and getattr(kw.value, "value", None) == 1
+                    for kw in node.keywords))
 
 
 def _is_block(node):
@@ -166,6 +176,8 @@ def _sites():
                 yield "mobius call", path.name, node.lineno, func
             if _is_sign_cutoff(node):
                 yield "sign", path.name, node.lineno, func
+            if _is_mc_error(node):
+                yield "mc error", path.name, node.lineno, func
             # a plain import binds the name; every use of it counts
             if name == "eigh_tridiagonal" and not (
                     isinstance(node, ast.alias) and node.asname is None):

@@ -6,6 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from hyplab.fuchsian import (dirichlet_domain, group_ball, _displacement,
+                             _domain_samples)
+from hyplab.propagator import MCEstimate
+from hyplab.selberg import heat_kernel
 from hyplab.trace import (EigenData, load_eigendata, save_eigendata,
                           weyl_density, lattice_count_bound, geometric_side,
                           geometric_side_domain_integral,
@@ -103,6 +107,24 @@ def test_geometric_side_domain_integral_cyclic(cyclic_group):
     omitted = _cyclic_winding_integral(t, R, lambda d: d > R)
     assert omitted == pytest.approx(1.4e-5, rel=0.05)
     assert omitted <= tail < 1e-3
+
+
+def test_geometric_side_domain_integral_runs_in_blocks(bolza_group,
+                                                       on_cores):
+    """Blocks of 65536 // 80 points against the 80-element Bolza ball
+    give the estimate of the whole (80, n) array bit for bit, on one
+    core and on two."""
+    G, t, R, n, seed = bolza_group, 0.5, 1.0, 2000, 2
+    vol_D, radius = dirichlet_domain(G)
+    ball = group_ball(G, G.base_point, R + 2.0 * radius)
+    assert len(ball) == 80
+    disp = _displacement(ball.matrices(), _domain_samples(G, n, seed))
+    whole = MCEstimate.of(
+        np.where(disp <= R, heat_kernel(t, disp), 0.0).sum(axis=0), vol_D)
+    for cores in (1, 2):
+        value, err, _ = on_cores(cores, geometric_side_domain_integral, G, t,
+                                 R, n, seed)
+        assert (value, err) == (whole.value, whole.error)
 
 
 def test_exp_sum_fit_quality():
