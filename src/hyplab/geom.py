@@ -67,7 +67,7 @@ class MobiusElement:
     d: float
 
     def __post_init__(self):
-        row = _canonical_batch(np.array([self.entries], dtype=float))[0]
+        row = _canonical_batch(np.array([list(map(float, self.entries))]))[0]
         for name, value in zip("abcd", row.tolist()):
             object.__setattr__(self, name, value)
 

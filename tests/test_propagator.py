@@ -12,7 +12,8 @@ from scipy import integrate
 from hyplab.fuchsian import dirichlet_domain
 from hyplab.geom import (Point, ball_volume, polar_from, sample_ball_complex,
                          _dist_c, _SAMPLE_BLOCK)
-from hyplab.propagator import (Observable, const_observable, lens_halfwidth,
+from hyplab.propagator import (MCEstimate, Observable, const_observable,
+                               lens_halfwidth,
                                apply_Pt, kernel_PtaPt, intersection_volume,
                                pythagoras_check, midpoint_change_of_var_check,
                                ergodic_average_decay, hs_norm_estimate,
@@ -72,6 +73,21 @@ def test_lens_volume_limits_and_monte_carlo():
     for t, r in ((2.0, 3.9), (2.0, 3.0), (1.0, 1.9)):
         est = intersection_volume(t, r, n=200_000, seed=17)
         assert abs(est.value - lens_volume(t, r)) <= 4.0 * est.error
+
+
+def test_lens_guards_and_the_one_sample_estimate():
+    """Beyond separation 2t the kernel is exactly zero; at r = 2t the
+    lens is flagged degenerate; one sample gives no error bar."""
+    z = Point(0.0, 1.0)
+    far = kernel_PtaPt(const_observable(1.0), z, polar_from(z, 0.3, 4.5),
+                       2.0, 100, 0)
+    assert (far.value, far.error, far.extras) == (0.0, 0.0,
+                                                  {"acceptance": 0.0})
+    edge = intersection_volume(1.0, 2.0, 100, 0)
+    assert (edge.value, edge.error, edge.extras) == (
+        0.0, 0.0, {"degenerate": True, "acceptance": 0.0})
+    with pytest.raises(ValueError, match="two samples"):
+        MCEstimate.of(np.ones(1), 1.0)
 
 
 def test_hs_main_term_matches_exact_reference(cyclic_group):

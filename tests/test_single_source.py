@@ -8,8 +8,7 @@ matrix ``fuchsian._displacement`` and the domain reduction
 canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
 written only in ``geom._canonical_batch``, a Monte Carlo error bar, a
 ``.std(..., ddof=1)`` call, is taken only in ``MCEstimate.of``, the
-tridiagonal eigensolver
-``eigh_tridiagonal`` is used only in
+tridiagonal eigensolver ``eigh_tridiagonal`` is used only in
 ``synthetic.radial_mode_eigenvalues``, the block size 1 << 16 is
 written only in the assignment of ``geom._SAMPLE_BLOCK``, and the radial
 law of a ball, arccosh(1.0 + u * (cosh(R) - 1.0)), is written only in
