@@ -218,7 +218,7 @@ def _cmd_selberg(run, args):
         k = selberg.selberg_inverse(h, band=args.band)
         rho_grid = np.linspace(0.0, k.support, 200)
         run.csv("kernel_k.csv", ["rho", "k"],
-                [(float(r), float(k.eval(r))) for r in rho_grid])
+                list(zip(rho_grid.tolist(), k.eval(rho_grid).tolist())))
     elif args.action == "roundtrip":
         k = _kernel_by_name(args.kernel, args.t)
         h = selberg.selberg_forward(k)

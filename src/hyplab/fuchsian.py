@@ -239,10 +239,13 @@ def save_group(spec: GroupSpec, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
+@functools.lru_cache(maxsize=64)
 def _doubled_generators(G: GroupSpec):
-    gens = list(G.generators) + [g.inverse() for g in G.generators]
+    """The generators followed by their inverses, and for each letter
+    the index of its inverse letter; cached per group."""
+    gens = G.generators + tuple(g.inverse() for g in G.generators)
     n = len(G.generators)
-    inv_index = [k + n if k < n else k - n for k in range(2 * n)]
+    inv_index = tuple(k + n if k < n else k - n for k in range(2 * n))
     return gens, inv_index
 
 

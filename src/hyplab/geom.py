@@ -196,7 +196,9 @@ def _polar_batch(z0c, theta, r) -> np.ndarray:
     tau2 = tau * tau
     a = m * (1.0 - tau2) / (1.0 + tau2)  # Re w = m cos(theta)
     b = 2.0 * m * tau / (1.0 + tau2)  # Im w = m sin(theta)
-    q = (1.0 - a) ** 2 + b * b  # |1 - w|^2
+    # |1 - w|^2; a product, not ** 2, which NumPy rounds differently on
+    # 0-d input, so one point and an array of points agree bit for bit
+    q = (1.0 - a) * (1.0 - a) + b * b
     out = np.empty(np.broadcast_shapes(np.shape(x0), np.shape(q)),
                    dtype=complex)
     out.real = x0 - 2.0 * y0 * b / q

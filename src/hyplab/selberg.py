@@ -36,6 +36,7 @@ from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .errors import QuadratureFailure, BandTooSmall, OdeFailure
+from .geom import _blockmap
 
 
 @dataclass
@@ -61,22 +62,29 @@ class SpectralFunction:
         return self.eval(s)
 
 
-@dataclass
-class SphericalOracle:
-    """Tabulated radial Laplace eigenfunction phi_s with phi_s(0) = 1 and
-    eigenvalue 1/4 + s^2; evaluation by cubic interpolation."""
+class _Spline:
+    """SciPy's CubicSpline through (x, y), evaluated by arithmetic index:
+    the one spline of the module.  The knots must be uniform past the
+    first (a linspace, or a 0 node before one); x and the coefficients
+    c are read-only, so a cached spline cannot be changed by a caller.
+    Values agree with CubicSpline's bit for bit, extrapolation and NaN
+    included."""
 
-    s: float
-    _spline: CubicSpline = field(repr=False)
+    def __init__(self, x, y):
+        spline = CubicSpline(x, y)
+        self.x, self.c = _frozen(spline.x, spline.c)
+        steps = np.diff(self.x[1:])
+        if np.any(np.abs(steps - steps.mean()) > 1e-9 * steps.mean()):
+            raise ValueError("knots past the first must be uniform")
 
     def __call__(self, r):
-        # Past the first node the knots are the uniform ODE output grid,
-        # so the interval index comes from arithmetic, not a binary
-        # search; one step against the knots themselves then gives
-        # CubicSpline's rule x[i] <= r < x[i+1], and the polynomial is
-        # summed in CubicSpline's order, so the values agree bit for bit.
+        # Past the first node the knots are uniform, so the interval
+        # index comes from arithmetic, not a binary search; one step
+        # against the knots themselves then gives CubicSpline's rule
+        # x[i] <= r < x[i+1], and the polynomial is summed in
+        # CubicSpline's order, so the values agree bit for bit.
         r = np.asarray(r, dtype=float)
-        x, c = self._spline.x, self._spline.c
+        x, c = self.x, self.c
         last = len(x) - 2
         k = np.floor((r - x[1]) * (last / (x[-1] - x[1])))
         i = np.fmin(np.fmax(k, -1.0), last - 1.0).astype(np.intp) + 1
@@ -84,6 +92,18 @@ class SphericalOracle:
         i += (r >= x[i + 1]) & (i < last)
         s = r - x[i]
         return c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+
+
+@dataclass
+class SphericalOracle:
+    """Tabulated radial Laplace eigenfunction phi_s with phi_s(0) = 1 and
+    eigenvalue 1/4 + s^2; evaluation by cubic interpolation."""
+
+    s: float
+    _spline: _Spline = field(repr=False)
+
+    def __call__(self, r):
+        return self._spline(r)
 
 
 def _quad(fn, a, b, where: str, epsabs=1e-12, epsrel=1e-10, limit=400):
@@ -99,11 +119,17 @@ def _quad(fn, a, b, where: str, epsabs=1e-12, epsrel=1e-10, limit=400):
     return val
 
 
-def _checked(val: float, ref: float, atol: float, rtol: float,
-             where: str) -> float:
+def _checked(val, ref, atol: float, rtol: float, where):
     """ref, once it agrees with val, the same quantity by a rule with
     fewer nodes, within max(atol, rtol |ref|); QuadratureFailure
-    otherwise."""
+    otherwise.  For 1-D arrays, entry by entry; ``where`` then maps the
+    index of the first entry that disagrees to the integral's name."""
+    if np.ndim(ref):
+        bad = np.abs(val - ref) > np.maximum(atol, rtol * np.abs(ref))
+        if bad.any():
+            i = int(np.argmax(bad))
+            _checked(val[i], ref[i], atol, rtol, where(i))
+        return ref
     if abs(val - ref) > max(atol, rtol * abs(ref)):
         raise QuadratureFailure(f"{where} quadrature not converged: the "
                                 f"two rules differ by {val - ref:.2e}")
@@ -154,26 +180,56 @@ def _panels(m: int):
     return _frozen(x, np.tile(w0 / m, m))
 
 
-def _abel_gl(f, S: float, x: float, near: float, density: float,
-             n_scale: float = 1.0) -> float:
-    """A[f](x) for an array function f by fixed Gauss-Legendre rules: up
-    to y = x + 1 in v, where the integrand is 2 f(y), with
+def _abel_gl(f, S: float, x, near: float, density: float,
+             n_scale: float = 1.0):
+    """A[f](x) at every entry of x (x <= S; a float for a scalar x) for
+    an array function f by fixed Gauss-Legendre rules: up to
+    y = x + 1 in v, where the integrand is 2 f(y), with
     int(near * n_scale) nodes; beyond, in y with at most 16384 and
-    int(max(64, density * length) * n_scale) nodes."""
-    cx = math.cosh(x)
-    split = min(x + 1.0, S)
-    v_split = math.sqrt(math.cosh(split) - cx)
+    int(max(64, density * length) * n_scale) nodes.
+
+    Each x keeps its own prologue in ``math``, its own node counts and
+    its own dot products, so its value does not depend on the other
+    entries; f is called once per block of entries and rule, on
+    ``geom._blockmap``'s blocks, sized by the largest node count.  f
+    may therefore run on several threads at once."""
+    xs = np.asarray(x, dtype=float)
+    if xs.size == 0:
+        return np.zeros(xs.shape)
+    prologue = []
+    for xi in xs.ravel().tolist():
+        cx = math.cosh(xi)
+        split = min(xi + 1.0, S)
+        n_far = (min(16384, int(max(64, density * (S - split)) * n_scale))
+                 if split < S else 0)
+        prologue.append((cx, split, math.sqrt(math.cosh(split) - cx),
+                         n_far))
+    cx, split, v_split, n_far = (np.array(col) for col in zip(*prologue))
+    length = S - split
     nodes, wts = _gl(int(near * n_scale))
-    v = v_split * nodes
-    # scaling by 2 is exact, so where the factor 2 goes changes no bit
-    total = 2.0 * v_split * float(wts @ f(np.arccosh(cx + v * v)))
-    if split < S:
-        nodes, wts = _gl(min(16384, int(max(64, density * (S - split))
-                                        * n_scale)))
-        y = split + (S - split) * nodes
-        total += (S - split) * float(
-            wts @ (f(y) * np.sinh(y) / np.sqrt(np.cosh(y) - cx)))
-    return total
+
+    def block(blk):
+        v = v_split[blk, None] * nodes
+        fy = f(np.arccosh(cx[blk, None] + v * v).ravel()).reshape(v.shape)
+        # scaling by 2 is exact, so where the factor 2 goes changes no bit
+        total = 2.0 * v_split[blk] * np.array([wts @ row for row in fy])
+        far = np.flatnonzero(n_far[blk])
+        if far.size:
+            # the far rules of the block, one after another in y
+            rules = [_gl(m) for m in n_far[blk][far].tolist()]
+            n = [len(w) for _, w in rules]
+            at = np.repeat(np.arange(far.size), n)
+            lo, span = split[blk][far], length[blk][far]
+            y = lo[at] + span[at] * np.concatenate([r[0] for r in rules])
+            vals = f(y) * np.sinh(y) / np.sqrt(np.cosh(y) - cx[blk][far][at])
+            ends = np.cumsum(n).tolist()
+            total[far] += span * np.array([
+                w @ vals[end - len(w):end] for (_, w), end in zip(rules, ends)])
+        return total
+
+    width = max(len(nodes), int(n_far.max()))
+    out = _blockmap(block, len(prologue), width).reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def selberg_forward(k: RadialKernel,
@@ -195,24 +251,31 @@ def selberg_forward(k: RadialKernel,
     # a cubic spline at this density is exact to ~1e-12 for the smooth
     # and piecewise-constant kernels in scope.
     k_grid = np.linspace(0.0, S, max(4001, int(100 * S) + 1))
-    k_spline = CubicSpline(k_grid, np.asarray(k.eval(k_grid), dtype=float))
+    k_spline = _Spline(k_grid, np.asarray(k.eval(k_grid), dtype=float))
     # the uniform w-grid is coarsest in u near u = 0 (du = 2S/N there);
     # scale the cache so ringing of period ~2 pi/band is still resolved
     cache_points = max(800, int(52 * S))
     w_grid = np.linspace(0.0, math.sqrt(S), cache_points)
-    g_vals = np.array([math.sqrt(2.0) * _abel_gl(k_spline, S, S - w * w, 48,
-                                                 24) for w in w_grid])
+    g_vals = math.sqrt(2.0) * _abel_gl(k_spline, S, S - w_grid * w_grid, 48,
+                                       24)
     # node-doubling check on a subsample of the grid
-    for w, val in list(zip(w_grid, g_vals))[:: max(1, cache_points // 16)]:
-        ref = math.sqrt(2.0) * _abel_gl(k_spline, S, S - w * w, 48, 24, 2.0)
-        _checked(val, ref, error_budget, 1e-9,
-                 f"Abel transform at u={S - w * w:.3f}")
-    g_edge = CubicSpline(w_grid, g_vals)
+    w_sub = w_grid[:: max(1, cache_points // 16)]
+    ref = math.sqrt(2.0) * _abel_gl(k_spline, S, S - w_sub * w_sub, 48, 24,
+                                    2.0)
+    _checked(g_vals[:: max(1, cache_points // 16)], ref, error_budget, 1e-9,
+             lambda i: f"Abel transform at u={S - w_sub[i] ** 2:.3f}")
+    g_edge = _Spline(w_grid, g_vals)
 
-    def _h_gl(s, n):
+    @functools.lru_cache(maxsize=64)
+    def _rule(n):
+        # the parts of the n-node rule that do not depend on s
         x, wts = _gl(n)
         w = math.sqrt(S) * x
-        vals = np.cos(s * (S - w * w)) * g_edge(w) * 4.0 * w
+        return (wts, *_frozen(w, S - w * w, g_edge(w)))
+
+    def _h_gl(s, n):
+        wts, w, u, g = _rule(n)
+        vals = np.cos(s * u) * g * 4.0 * w
         return math.sqrt(S) * float(wts @ vals)
 
     def h(s):
@@ -285,20 +348,22 @@ def selberg_inverse(h: SpectralFunction, band: float,
     q_vals = np.empty_like(u_grid)
     q_vals[1:] = gprime_of(u_grid[1:]) / np.sinh(u_grid[1:])
     q_vals[0] = float(-(s_wts * s_nodes ** 2 * h_vals).sum() / math.pi)
-    q_spline = CubicSpline(u_grid, q_vals)
+    q_spline = _Spline(u_grid, q_vals)
 
     def k_eval(rho):
-        rho = float(abs(rho))
-        if rho >= u_max:
-            return 0.0
+        rho = np.abs(np.asarray(rho, dtype=float))
+        out = np.zeros(rho.shape)
+        inside = ~(rho >= u_max)  # NaN stays NaN
         # nodes sized to the band's ringing period
-        val, ref = (-_abel_gl(q_spline, u_max, rho, max(48, 3 * band),
+        val, ref = (-_abel_gl(q_spline, u_max, rho[inside], max(48, 3 * band),
                               3 * band, n) / (math.sqrt(2.0) * math.pi)
                     for n in (1.0, 1.5))
-        return _checked(val, ref, 1e-6, 1e-7, f"inverse kernel at rho={rho}")
+        out[inside] = _checked(
+            val, ref, 1e-6, 1e-7,
+            lambda i: f"inverse kernel at rho={rho[inside][i]}")
+        return out
 
-    kernel = RadialKernel(eval=np.vectorize(k_eval, otypes=[float]),
-                          support=u_max)
+    kernel = RadialKernel(eval=k_eval, support=u_max)
 
     if roundtrip_check:
         fwd = selberg_forward(kernel, error_budget=1e-6)
@@ -349,8 +414,7 @@ def _heat_profile(t: float):
     kern = selberg_inverse(heat_multiplier(t), band, roundtrip_check=False)
     rho_max = min(kern.support, math.sqrt(4.0 * t * 46.0) + 1.0)
     grid = np.linspace(0.0, rho_max, 3001)
-    vals = kern.eval(grid)
-    spline = CubicSpline(grid, vals)
+    spline = _Spline(grid, kern.eval(grid))
     if len(_heat_cache) >= _HEAT_CACHE_SIZE:
         del _heat_cache[next(iter(_heat_cache))]
     _heat_cache[key] = (spline, rho_max)
@@ -434,4 +498,4 @@ def spherical_oracle(s: float, r_max: float) -> SphericalOracle:
         raise OdeFailure(
             f"first-integral residual {max_resid:.2e} exceeds tolerance "
             "1.00e-08")
-    return SphericalOracle(s=float(s), _spline=CubicSpline(r_full, phi_full))
+    return SphericalOracle(s=float(s), _spline=_Spline(r_full, phi_full))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundNotReached
+from .geom import _blockwise
 from .selberg import _checked, _gauss_legendre, _gl, _quad
 
 _SQRT8 = 4.0 * math.sqrt(2.0)
@@ -202,8 +203,14 @@ def time_average_table(I: SpectralInterval, T: float, grid_n: int = 256):
     t_nodes, t_wts = T * x, T * w
     # the rule's weights do not depend on s: build them once, for b
     u, wts = _h_t_nodes(t_nodes, I.b)
-    h = [np.einsum("ij,ij->i", np.cos(s * u), wts) for s in s_grid]
-    return s_grid, (np.array(h) ** 2 @ t_wts) / T
+    h = np.empty((len(s_grid), len(t_nodes)))
+
+    def rows(blk):
+        for i in range(len(s_grid))[blk]:
+            h[i] = np.einsum("ij,ij->i", np.cos(s_grid[i] * u), wts)
+
+    _blockwise(rows, len(s_grid), 1)
+    return s_grid, (h ** 2 @ t_wts) / T
 
 
 def time_avg_lower_bound(I: SpectralInterval, T: float,

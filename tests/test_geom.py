@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyplab import geom
 from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
@@ -154,6 +154,8 @@ def test_polar_distance(z0, theta, r):
 
 @settings(max_examples=25)
 @given(st.lists(st.tuples(points(), angles, radii), min_size=1, max_size=8))
+# a point where NumPy's 0-d x ** 2 and x * x round differently
+@example([(Point(0.0, 1.0), 2.7797060971363576, 3.1844622123314874)])
 def test_polar_batch_broadcasts_over_centres(rows):
     """Array centres give each point bit for bit what polar_from gives,
     at distance r from its own centre."""

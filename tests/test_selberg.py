@@ -1,14 +1,16 @@
 """The radial-kernel / multiplier transform pair, the heat kernel, and
 the radial eigenfunction oracle."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 from hyplab.errors import BandTooSmall, OdeFailure
-from hyplab import selberg
+from hyplab import geom, selberg
 from hyplab.selberg import (RadialKernel, abel_transform, selberg_forward,
                             selberg_inverse, disc_kernel, heat_multiplier,
                             heat_kernel, heat_kernel_mass,
@@ -159,18 +161,97 @@ def test_spherical_oracle_eigen_identity():
         assert val == pytest.approx(h_t_closed(t, s), rel=1e-8, abs=1e-10)
 
 
-def test_spherical_oracle_is_its_cubic_spline():
-    """The arithmetic interval lookup reproduces CubicSpline bit for bit,
-    at the knots, one ulp either side of them, outside the table and
-    at non-finite points."""
-    phi = spherical_oracle(1.5, 9.0)
-    knots = phi._spline.x
+@pytest.mark.parametrize("knots", [
+    np.linspace(0.0, 9.0, 3001),
+    np.concatenate(([0.0], np.linspace(1e-3, 9.0, 4001)))],
+    ids=["linspace", "oracle grid"])
+def test_spline_is_scipys_cubic_spline(knots):
+    """The arithmetic interval lookup of _Spline reproduces CubicSpline
+    bit for bit on both knot layouts in use, at the knots, one ulp
+    either side of them, outside the table and at NaN."""
+    y = np.cos(1.7 * knots) * np.exp(-0.3 * knots)
+    ours, scipys = selberg._Spline(knots, y), CubicSpline(knots, y)
     r = np.concatenate([
         np.random.default_rng(5).uniform(-1.0, 10.0, 50_000), knots,
         np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
-        [0.0, -0.0, 1e-300, np.nan]])
+        [0.0, -0.0, 1e-300, -50.0, 50.0, np.nan]])
+    assert np.array_equal(ours(r), scipys(r), equal_nan=True)
+    r2 = np.stack([r, r[::-1]])
+    assert np.array_equal(ours(r2), scipys(r2), equal_nan=True)
+    assert ours(0.7) == scipys(0.7)
+    # the oracle evaluates through its _Spline
+    phi = spherical_oracle(1.5, 9.0)
     assert np.array_equal(phi(r), phi._spline(r), equal_nan=True)
-    assert phi(0.7) == phi._spline(0.7)
+    with pytest.raises(ValueError, match="uniform"):
+        selberg._Spline(knots ** 2, y)
+
+
+def test_cached_splines_are_read_only():
+    """The cached heat profile, a forward transform's splines and its
+    per-rule cache cannot be written through."""
+    spline = selberg._heat_profile(1.0)[0]
+    h = selberg_forward(disc_kernel(1.0))
+    h(0.5)
+    rule = inspect.getclosurevars(
+        inspect.getclosurevars(h.eval).nonlocals["_h_gl"]).nonlocals["_rule"]
+    arrays = [spline.x, spline.c, *rule(3200)]
+    assert rule.cache_info().hits >= 1
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def _abel_gl_scalar(f, S, x, near, density, n_scale=1.0):
+    """The one-point Abel rule that the batched ``_abel_gl`` replaced,
+    kept here as its reference."""
+    cx = math.cosh(x)
+    split = min(x + 1.0, S)
+    v_split = math.sqrt(math.cosh(split) - cx)
+    nodes, wts = _gl(int(near * n_scale))
+    v = v_split * nodes
+    total = 2.0 * v_split * float(wts @ f(np.arccosh(cx + v * v)))
+    if split < S:
+        nodes, wts = _gl(min(16384, int(max(64, density * (S - split))
+                                        * n_scale)))
+        y = split + (S - split) * nodes
+        total += (S - split) * float(
+            wts @ (f(y) * np.sinh(y) / np.sqrt(np.cosh(y) - cx)))
+    return total
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batched_abel_rule_is_the_one_point_rule(monkeypatch, threads):
+    """The batched Abel rule and the array-valued inverse kernel equal
+    their one-point results bit for bit, for x below S - 1, between
+    S - 1 and S, at S and (for the kernel) past the support, for 0-d,
+    1-d and 2-d input, on the block pool and on one thread."""
+    monkeypatch.setattr(geom, "_threads", lambda: threads)
+    S = 3.0
+    grid = np.linspace(0.0, S, 2001)
+    f = selberg._Spline(grid, np.exp(-grid) * np.cos(3.0 * grid))
+    # 240 points in blocks of 65536 // 640 = 102 and 65536 // 960 = 68
+    # points, with plain rules and composite panels (over 256 nodes)
+    x = np.concatenate([np.linspace(0.0, S - 1.0, 120, endpoint=False),
+                        np.linspace(S - 1.0, S, 120)])
+    for n_scale in (1.0, 1.5):
+        want = np.array([_abel_gl_scalar(f, S, xi, 48, 320, n_scale)
+                         for xi in x])
+        got = selberg._abel_gl(f, S, x, 48, 320, n_scale)
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            selberg._abel_gl(f, S, x.reshape(12, 20), 48, 320, n_scale),
+            want.reshape(12, 20))
+        one = selberg._abel_gl(f, S, x[7], 48, 320, n_scale)
+        assert isinstance(one, float) and one == want[7]
+    k = selberg_inverse(heat_multiplier(1.0), band=16.0,
+                        roundtrip_check=False)
+    rho = np.linspace(0.0, 1.25 * k.support, 500)  # a fifth past it
+    got = k.eval(rho)
+    want = np.array([float(k.eval(float(r))) for r in rho])
+    assert np.array_equal(got, want)
+    assert np.all(got[rho >= k.support] == 0.0)
+    assert np.array_equal(k.eval(rho.reshape(20, 25)), want.reshape(20, 25))
+    assert k.eval(-rho[3]) == want[3]
 
 
 def test_spherical_oracle_range_validation():

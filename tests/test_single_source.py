@@ -14,7 +14,8 @@ written only in the assignment of ``geom._SAMPLE_BLOCK``, and the radial
 law of a ball, arccosh(1.0 + u * (cosh(R) - 1.0)), is written only in
 ``geom._radial_icdf``, the Abel substitution arccosh(x + v * v) is
 written only in ``selberg._abel_gl``, SciPy's adaptive ``quad`` is
-called only in the checked ``selberg._quad``, and the cosh ratio of
+called only in the checked ``selberg._quad``, SciPy's ``CubicSpline``
+is built only in ``selberg._Spline``, and the cosh ratio of
 h_t is taken only in its one rule, ``spectral_action._h_t_nodes``, and
 a ``for`` loop (or comprehension) over range(start, stop, step), the
 block stride, is written only in the block map ``geom._blockwise``.
@@ -24,7 +25,7 @@ length and whose ``group`` commands take milliseconds, and the lens
 sampler ``propagator._lens_blocks``, which draws inside every block, so
 that running its blocks apart would first hold every draw at once.
 A function nested in another (a block closure) counts as part of the
-function that encloses it."""
+function that encloses it, and a method is named with its class."""
 
 import ast
 import pathlib
@@ -34,29 +35,33 @@ import hyplab
 SRC = pathlib.Path(hyplab.__file__).parent
 NODE_SOURCES = {"roots_legendre", "leggauss"}
 ALLOWED = {"nodes": {"_gauss_legendre"},
-           "mobius": {"_mobius_batch", "apply_complex"},
+           "mobius": {"_mobius_batch", "MobiusElement.apply_complex"},
            "mobius call": {"_displacement", "reduce_to_domain"},
            "det": {"_canonical_batch"},
            "sign": {"_canonical_batch"},
-           "mc error": {"of"},
+           "mc error": {"MCEstimate.of"},
            "tridiagonal": {"radial_mode_eigenvalues"},
            "block": {"geom._SAMPLE_BLOCK"},
            "radial law": {"_radial_icdf"},
            "abel substitution": {"_abel_gl"},
            "quad": {"_quad"},
+           "spline": {"_Spline.__init__"},
            "cosh ratio": {"_h_t_nodes"},
            "block stride": {"_blockwise", "_enumerate", "_lens_blocks"}}
 
 
-def _walk(node, func=None):
+def _walk(node, func=None, owner=""):
     """Yield every descendant with the name of its outermost enclosing
-    function (None at module level): a nested function belongs to the
-    function that defines it."""
+    function, as Class.method for a method (None at module level): a
+    nested function belongs to the function that defines it."""
     for child in ast.iter_child_nodes(node):
         yield child, func
-        inner = (child.name if isinstance(child, ast.FunctionDef)
+        if func is None and isinstance(child, ast.ClassDef):
+            yield from _walk(child, None, f"{owner}{child.name}.")
+            continue
+        inner = (owner + child.name if isinstance(child, ast.FunctionDef)
                  and func is None else func)
-        yield from _walk(child, inner)
+        yield from _walk(child, inner, owner)
 
 
 def _name(node):
@@ -161,6 +166,9 @@ def _sites():
             # an import of quad counts too, at module level
             if name == "quad" and not isinstance(node, ast.FunctionDef):
                 yield "quad", path.name, node.lineno, func
+            if (isinstance(node, ast.Call)
+                    and _name(node.func) == "CubicSpline"):
+                yield "spline", path.name, node.lineno, func
             if (isinstance(node, ast.Call)
                     and _name(node.func) == "_cosh_ratio"):
                 yield "cosh ratio", path.name, node.lineno, func
