@@ -164,7 +164,7 @@ def test_spherical_oracle_eigen_identity():
 @pytest.mark.parametrize("knots", [
     np.linspace(0.0, 9.0, 3001),
     np.concatenate(([0.0], np.linspace(1e-3, 9.0, 4001)))],
-    ids=["linspace", "oracle grid"])
+    ids=["linspace", "oracle-grid"])
 def test_spline_is_scipys_cubic_spline(knots):
     """The arithmetic interval lookup of _Spline reproduces CubicSpline
     bit for bit on both knot layouts in use, at the knots, one ulp
