@@ -11,10 +11,12 @@ Conventions
   ball through ``_radial_icdf``.
 * All operations are pure; samplers take explicit seeds.
 * Loops over blocks of points run through ``_blockwise``, on a thread
-  pool of one thread per usable core.  Random numbers are drawn in the
-  calling thread before the blocks run, each block writes only its own
-  slice and every reduction runs over the whole array afterwards, so
-  results do not depend on the thread count.
+  pool of one thread per usable core.  Each block of the ball sampler
+  draws its own slice of the seed's one random stream by jump-ahead;
+  every other sampler draws in the calling thread before its blocks
+  run.  Each block writes only its own slice and every reduction runs
+  over the whole array afterwards, so results do not depend on the
+  thread count.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def _disc_chart(z0, z):
 
 def _polar_batch(z0c, theta, r) -> np.ndarray:
     """The points at distance r from the complex centres z0c in direction
-    theta, as a complex array; z0c, theta and r broadcast together.
+    theta, as a complex array.  theta and r are each a scalar or an array
+    of the result's shape, and z0c broadcasts to that shape.
 
     The disc-chart point w = m e^{i theta}, m = tanh(r/2), maps back to
     x0 + y0 * i(1 + w)/(1 - w), written out in real arithmetic.  The
@@ -191,18 +194,34 @@ def _polar_batch(z0c, theta, r) -> np.ndarray:
     several times faster than cos and sin.
     """
     x0, y0 = np.real(z0c), np.imag(z0c)
+    # Each array below is fresh and updated in place (a scalar is simply
+    # rebound), with the operands and order of the plain formula.
     m = np.tanh(0.5 * r)
     tau = np.tan(0.5 * theta)
-    tau2 = tau * tau
-    a = m * (1.0 - tau2) / (1.0 + tau2)  # Re w = m cos(theta)
-    b = 2.0 * m * tau / (1.0 + tau2)  # Im w = m sin(theta)
-    # |1 - w|^2; a product, not ** 2, which NumPy rounds differently on
-    # 0-d input, so one point and an array of points agree bit for bit
-    q = (1.0 - a) * (1.0 - a) + b * b
-    out = np.empty(np.broadcast_shapes(np.shape(x0), np.shape(q)),
-                   dtype=complex)
-    out.real = x0 - 2.0 * y0 * b / q
-    out.imag = y0 * (1.0 - m) * (1.0 + m) / q
+    den = tau * tau
+    a = 1.0 - den
+    den += 1.0  # 1 + tau^2
+    a *= m
+    a /= den  # Re w = m cos(theta)
+    im = 1.0 - m
+    im *= y0
+    im *= 1.0 + m  # y0 (1 - m)(1 + m)
+    b = m
+    b *= 2.0
+    b *= tau
+    b /= den  # Im w = m sin(theta)
+    # q = |1 - w|^2 = (a - 1)(a - 1) + b b, where (a - 1)^2 is (1 - a)^2
+    # to the bit; products, not ** 2, which NumPy rounds differently on
+    # 0-d input
+    q = a
+    q -= 1.0
+    q *= q
+    q += b * b
+    b *= 2.0 * y0
+    b /= q
+    out = np.empty(np.shape(b), dtype=complex)
+    np.subtract(x0, b, out=out.real)
+    np.divide(im, q, out=out.imag)
     return out
 
 
@@ -211,13 +230,6 @@ def _radial_icdf(u, R: float):
     ball of radius R, from u uniform on [0, 1): the area within rho is
     2 pi (cosh rho - 1), so rho = arccosh(1 + u (cosh R - 1))."""
     return np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
-
-
-def sample_ball(z0: Point, r: float, n: int, seed: int) -> list:
-    """Draw n i.i.d. points from the uniform (hyperbolic-area) measure on
-    the ball B(z0, r); reproducible for a fixed seed."""
-    zc = sample_ball_complex(z0, r, n, seed)
-    return [Point(float(z.real), float(z.imag)) for z in zc]
 
 
 _SAMPLE_BLOCK = 1 << 16
@@ -294,22 +306,34 @@ def _blockmap(fn, n: int, width: int = 1, dtype=float) -> np.ndarray:
 def _ball_map(z0: Point, r: float, n: int, seed: int, fn,
               dtype=float) -> np.ndarray:
     """fn(points) for ``_blockmap``'s blocks of n uniform points of
-    B(z0, r), as one array of the given dtype.  The points come from one
-    generator for the seed, all n area-law variates first, then all n
-    angles; the draws are freed on return."""
+    B(z0, r), as one array of the given dtype.  The points come from the
+    one stream of ``default_rng(seed)``, all n area-law variates first,
+    then all n angles.  A float64 draw takes one PCG64 step, so the block
+    of items j..j+m-1 draws its own slices of that stream by jump-ahead,
+    on whichever thread runs it: its radii after ``advance(j)``, its
+    angles after ``advance(n + j)``.  No n-point draw is held."""
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    theta = rng.random(n)
+    seq = np.random.SeedSequence(seed)
     z0c = z0.as_complex
+
+    def block(blk):
+        m = min(blk.stop, n) - blk.start
+        bits = np.random.PCG64(seq).advance(blk.start)
+        rng = np.random.Generator(bits)
+        rho = _radial_icdf(rng.random(m), r)
+        bits.advance(n - m)
+        theta = rng.random(m)
+        theta *= TWO_PI
+        return fn(_polar_batch(z0c, theta, rho))
+
     # blocks keep the temporaries small enough to be reused, not faulted in
-    return _blockmap(lambda blk: fn(_polar_batch(
-        z0c, TWO_PI * theta[blk], _radial_icdf(u[blk], r))), n, dtype=dtype)
+    return _blockmap(block, n, dtype=dtype)
 
 
 def sample_ball_complex(z0: Point, r: float, n: int, seed: int) -> np.ndarray:
-    """Vectorized form of sample_ball, returning a complex array."""
+    """n i.i.d. points of the uniform (hyperbolic-area) measure on the
+    ball B(z0, r), as a complex array; reproducible for a fixed seed."""
     return _ball_map(z0, r, n, seed, lambda pts: pts, complex)

@@ -82,16 +82,39 @@ class _Spline:
         # index comes from arithmetic, not a binary search; one step
         # against the knots themselves then gives CubicSpline's rule
         # x[i] <= r < x[i+1], and the polynomial is summed in
-        # CubicSpline's order, so the values agree bit for bit.
+        # CubicSpline's order, so the values agree bit for bit.  Fresh
+        # arrays are updated in place; r is never written.
         r = np.asarray(r, dtype=float)
         x, c = self.x, self.c
         last = len(x) - 2
-        k = np.floor((r - x[1]) * (last / (x[-1] - x[1])))
-        i = np.fmin(np.fmax(k, -1.0), last - 1.0).astype(np.intp) + 1
-        i -= (r < x[i]) & (i > 0)
-        i += (r >= x[i + 1]) & (i < last)
-        s = r - x[i]
-        return c[3, i] + c[2, i] * s + c[1, i] * (s * s) + c[0, i] * (s * s * s)
+        k = r - x[1]
+        k *= last / (x[-1] - x[1])
+        i = np.fmin(np.fmax(np.floor(k), -1.0), last - 1.0).astype(np.intp)
+        i += 1
+        xi = x.take(i)
+        down = r < xi
+        down &= i > 0
+        # both steps test the first index: a point that steps down lies
+        # below x[i] < x[i+1], so it never steps up
+        up = r >= x[1:].take(i)
+        up &= i < last
+        if down.any() or up.any():
+            i -= down
+            i += up
+            xi = x.take(i)
+        s = r - xi
+        s2 = s * s
+        out = c[2].take(i)
+        out *= s
+        out += c[3].take(i)
+        term = c[1].take(i)
+        term *= s2
+        out += term
+        s2 *= s
+        term = c[0].take(i)
+        term *= s2
+        out += term
+        return out
 
 
 @dataclass

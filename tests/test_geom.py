@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from hyplab import geom
 from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
-                         ball_volume, polar_from, polar_to, sample_ball,
+                         ball_volume, polar_from, polar_to,
                          sample_ball_complex, _mobius_batch, _canonical_batch,
-                         _dist_c, _polar_batch, _blockwise, _SAMPLE_BLOCK,
-                         TWO_PI)
+                         _dist_c, _polar_batch, _blockwise, _ball_map,
+                         _SAMPLE_BLOCK, TWO_PI)
+from hyplab.propagator import const_observable
 
 # bounded coordinate ranges keep cosh arguments well inside double range
 coords = st.floats(-5.0, 5.0)
@@ -174,20 +176,48 @@ def test_sample_ball_reproducible_and_in_ball():
     a = sample_ball_complex(z0, 2.0, 500, seed=11)
     b = sample_ball_complex(z0, 2.0, 500, seed=11)
     assert np.array_equal(a, b)
-    pts = sample_ball(z0, 2.0, 200, seed=4)
-    assert all(hyp_dist(z0, p) <= 2.0 + 1e-9 for p in pts)
+    pts = sample_ball_complex(z0, 2.0, 200, seed=4)
+    assert all(hyp_dist(z0, Point.from_complex(p)) <= 2.0 + 1e-9
+               for p in pts)
 
 
-def test_sample_ball_blocks_are_one_batch():
-    """Blocking is invisible: the points equal one _polar_batch call on
-    the whole draw, across a ragged last block."""
-    z0, R, n = Point(-0.4, 0.7), 3.0, 2 * _SAMPLE_BLOCK + 5
-    rng = np.random.default_rng(21)
-    u = rng.random(n)
-    theta = TWO_PI * rng.random(n)
-    rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
-    assert np.array_equal(sample_ball_complex(z0, R, n, seed=21),
-                          _polar_batch(z0.as_complex, theta, rho))
+B = _SAMPLE_BLOCK
+
+
+def test_sample_ball_blocks_are_one_batch(on_cores):
+    """Blocking is invisible: on one core and on two, across ragged last
+    blocks, the points equal one _polar_batch call on one serial
+    default_rng(seed) draw, radii first, then angles.  Blocks that jump
+    ahead in the stream draw the same numbers because a float64 draw
+    takes exactly one PCG64 step."""
+    z0, R, seed = Point(-0.4, 0.7), 3.0, 21
+    for n in (1, B - 1, B, B + 1, 2 * B + 7):
+        rng = np.random.default_rng(seed)
+        u = rng.random(n)
+        theta = TWO_PI * rng.random(n)
+        rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
+        expect = _polar_batch(z0.as_complex, theta, rho)
+        for cores in (1, 2):
+            assert np.array_equal(
+                on_cores(cores, sample_ball_complex, z0, R, n, seed), expect)
+
+
+def test_ball_map_holds_no_draw(on_cores):
+    """P_t's sampling map holds no n-point draw: doubling n from 8 to 16
+    blocks raises its traced peak by the output's growth alone, below
+    1.5 times it (holding the two draws, as before, gives 3 times)."""
+    eval_ = const_observable(1.0).eval
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            on_cores(1, _ball_map, Point(0.0, 1.0), 1.0, n, 5, eval_)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 8 * B
+    assert peak(2 * n) - peak(n) < 1.5 * 8 * n
 
 
 def test_blockwise_runs_every_block_once_on_the_pool(on_cores):

@@ -15,7 +15,7 @@ from hyplab.selberg import (RadialKernel, abel_transform, selberg_forward,
                             selberg_inverse, disc_kernel, heat_multiplier,
                             heat_kernel, heat_kernel_mass,
                             heat_bound_constant, spherical_oracle,
-                            _gauss_legendre, _gl)
+                            _abel_gl, _gauss_legendre, _gl)
 from hyplab.spectral_action import h_t_closed
 from hyplab.trace import weyl_density
 
@@ -126,6 +126,27 @@ def test_heat_kernel_mass_and_positivity():
     assert np.min(heat_kernel(1.0, rho)) > 0.0
 
 
+def mckean_pair(t):
+    """g'(u) / sinh(u) for McKean's closed-form pair function of the heat
+    kernel, g_t(u) = e^{-t/4} e^{-u^2/4t} / sqrt(4 pi t)."""
+    def f(u):
+        g = math.exp(-0.25 * t) * np.exp(-u * u / (4.0 * t)) \
+            / math.sqrt(4.0 * math.pi * t)
+        return -u / (2.0 * t) * g / np.sinh(u)
+    return f
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_heat_kernel_is_mckeans_closed_form(t):
+    """p_t = -A[g_t' / sinh] / (sqrt(2) pi) with McKean's exact pair
+    function, the Abel integral taken by the module's own rule at twice
+    its nodes; g_t is below 1e-80 past u = 40."""
+    rho = np.linspace(0.0, 6.0, 61)
+    exact = -_abel_gl(mckean_pair(t), 40.0, rho, 48, 64, 2.0) \
+        / (math.sqrt(2.0) * math.pi)
+    assert np.allclose(heat_kernel(t, rho), exact, rtol=1e-7, atol=0.0)
+
+
 def test_heat_kernel_plancherel():
     # p_t(0) equals the Weyl-density average of e^{-t lambda}
     for t in (0.5, 1.0):
@@ -168,17 +189,30 @@ def test_spherical_oracle_eigen_identity():
 def test_spline_is_scipys_cubic_spline(knots):
     """The arithmetic interval lookup of _Spline reproduces CubicSpline
     bit for bit on both knot layouts in use, at the knots, one ulp
-    either side of them, outside the table and at NaN."""
+    either side of them (where the index needs its step down or its step
+    up), outside the table and at NaN.  A read-only r is accepted and
+    never written, and a 0-d r gives a NumPy float."""
     y = np.cos(1.7 * knots) * np.exp(-0.3 * knots)
     ours, scipys = selberg._Spline(knots, y), CubicSpline(knots, y)
     r = np.concatenate([
         np.random.default_rng(5).uniform(-1.0, 10.0, 50_000), knots,
         np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
         [0.0, -0.0, 1e-300, -50.0, 50.0, np.nan]])
+    last = len(knots) - 2
+    k = np.floor((r - knots[1]) * (last / (knots[-1] - knots[1])))
+    i = np.fmin(np.fmax(k, -1.0), last - 1.0).astype(np.intp) + 1
+    steps = [r[(r < knots[i]) & (i > 0)], r[(r >= knots[i + 1]) & (i < last)]]
+    assert all(step.size for step in steps)
+    kept = r.copy()
+    r.flags.writeable = False
     assert np.array_equal(ours(r), scipys(r), equal_nan=True)
+    assert np.array_equal(r, kept, equal_nan=True)
     r2 = np.stack([r, r[::-1]])
     assert np.array_equal(ours(r2), scipys(r2), equal_nan=True)
-    assert ours(0.7) == scipys(0.7)
+    for x in [0.7, *steps[0][:10], *steps[1][:10]]:
+        value = ours(np.asarray(x))
+        assert type(value) is np.float64 and value == scipys(x)
+    assert type(ours(0.7)) is np.float64
     # the oracle evaluates through its _Spline
     phi = spherical_oracle(1.5, 9.0)
     assert np.array_equal(phi(r), phi._spline(r), equal_nan=True)
