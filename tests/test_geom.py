@@ -205,7 +205,7 @@ def test_sample_ball_blocks_are_one_batch(on_cores):
 def test_ball_map_holds_no_draw(on_cores):
     """P_t's sampling map holds no n-point draw: doubling n from 8 to 16
     blocks raises its traced peak by the output's growth alone, below
-    1.5 times it (holding the two draws, as before, gives 3 times)."""
+    1.5 times it (a map holding its two n-point draws grows 3 times)."""
     eval_ = const_observable(1.0).eval
 
     def peak(n):
