@@ -64,6 +64,7 @@ class _Run:
         self.tolerances = {}
         # the size of the block pool that the Monte Carlo loops run on
         self.diagnostics = {"threads": _threads()}
+        self.gl0 = dict(selberg._gl_counts)
         self.t0 = time.monotonic()
 
     def path(self, name):
@@ -81,6 +82,9 @@ class _Run:
         cfg = {k: v for k, v in sorted(vars(self.args).items())
                if k not in ("func", "out") and not callable(v)}
         blob = json.dumps(cfg, sort_keys=True, default=str).encode()
+        # the Gauss-Legendre rules this run read from the table or computed
+        self.diagnostics["gauss_legendre"] = {
+            k: v - self.gl0[k] for k, v in selberg._gl_counts.items()}
         manifest = {
             "command": command,
             "config_hash": hashlib.sha256(blob).hexdigest(),

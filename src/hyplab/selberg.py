@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+import time
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 from scipy import integrate
@@ -176,19 +179,47 @@ def _frozen(*arrays):
     return arrays
 
 
+# since import: rules read from the table, rules computed, seconds spent
+_gl_counts = {"table_rules": 0, "computed_rules": 0, "computed_s": 0.0}
+_gl_lock = threading.Lock()
+
+
+@functools.cache
+def _gl_table():
+    """data/gauss_legendre.npy, read-only: ``_gauss_legendre(n)`` for
+    n = 1, ..., 256 in columns n(n - 1)/2 up to n(n + 1)/2.  Made, from
+    the root of the source tree, by
+
+    python -c "import numpy as np; from scipy.special import roots_legendre as r; np.save('src/hyplab/data/gauss_legendre.npy', np.hstack([np.stack([0.5 * (x + 1.0), 0.5 * w]) for x, w in map(r, range(1, 257))]))"
+    """
+    with resources.files("hyplab.data").joinpath(
+            "gauss_legendre.npy").open("rb") as fh:
+        return _frozen(np.load(fh, allow_pickle=False))[0]
+
+
 @functools.lru_cache(maxsize=256)
 def _gauss_legendre(n: int):
-    """The n-node Gauss-Legendre rule on [0, 1]: the toolkit's one source
-    of quadrature nodes.  Cached; the arrays are read-only."""
+    """The n-node Gauss-Legendre rule on [0, 1], 0.5 * (x + 1) and 0.5 * w
+    for SciPy's roots_legendre(n) = (x, w): the toolkit's one source of
+    quadrature nodes, read bit for bit from ``_gl_table`` up to 256 nodes
+    and computed beyond.  Cached; the arrays are read-only."""
+    if 0 < n <= 256:
+        with _gl_lock:
+            _gl_counts["table_rules"] += 1
+        return tuple(_gl_table()[:, n * (n - 1) // 2:n * (n + 1) // 2])
     from scipy.special import roots_legendre
+    t0 = time.perf_counter()
     x, w = roots_legendre(n)
+    with _gl_lock:
+        _gl_counts["computed_rules"] += 1
+        _gl_counts["computed_s"] += time.perf_counter() - t0
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
 def _gl(n: int):
-    """Quadrature nodes and weights on [0, 1] with >= n nodes: a plain
-    Gauss-Legendre rule for small n, composite 64-node panels beyond
-    (node generation for single large rules is prohibitively slow)."""
+    """Quadrature nodes and weights on [0, 1] with >= n nodes: the plain
+    n-node Gauss-Legendre rule up to the table's 256 nodes, composite
+    64-node panels beyond, so that no rule of ``_gl`` is computed."""
     if n <= 256:
         return _gauss_legendre(n)
     return _panels(-(-n // 64))

@@ -117,13 +117,6 @@ def lipschitz_bound(s_grid, t_range, delta: float = 1e-4,
     return float(np.max(np.abs(h1 - h0)) / delta)
 
 
-def period_sequence(s: float, k: int) -> float:
-    """The k-th period time t_k = 2 pi k / s."""
-    if s <= 0.0 or k < 1:
-        raise ValueError("need s > 0 and k >= 1")
-    return 2.0 * math.pi * k / s
-
-
 def c_of_s(s: float) -> float:
     """The limiting period constant c(s); positive for s > 0.
 
@@ -140,26 +133,6 @@ def c_of_s(s: float) -> float:
     val = _quad(integrand, 0.0, math.sqrt(P), f"c(s) at s={s}",
                 epsabs=1e-13, epsrel=1e-11, limit=400)
     return -0.5 * val
-
-
-def c_of_s_by_parts(s: float) -> float:
-    """c(s) via the integration-by-parts identity
-    c(s) = -(1/(4 s^2)) Int_0^{2 pi} sin(x) e^{(x-2pi)/s}
-           / sqrt(1 - e^{(x-2pi)/s}) dx,
-    used as an independent quadrature oracle."""
-    if s <= 0.0:
-        raise ValueError("s must be positive")
-
-    # absorb the inverse-sqrt endpoint with x = 2 pi - w^2
-    def integrand(w):
-        x = 2.0 * math.pi - w * w
-        e = math.exp(-w * w / s)
-        return math.sin(x) * e / math.sqrt(-math.expm1(-w * w / s)) * 2.0 * w
-
-    val = _quad(integrand, 0.0, math.sqrt(2.0 * math.pi),
-                f"c(s) by parts at s={s}", epsabs=1e-13, epsrel=1e-11,
-                limit=400)
-    return -val / (4.0 * s * s)
 
 
 def verify_period_bound(I: SpectralInterval, k_max: int,

@@ -103,14 +103,6 @@ class ExpSumApprox:
     sup_error: float
     ill_conditioned: bool = False
 
-    def eval_g(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-np.outer(x, self.rates)) @ self.coefficients
-
-    def eval_f(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.eval_g(x) * np.exp(-x)
-
 
 def weyl_density(f, quad_limit: float) -> float:
     """(1/4 pi) Integral_R f(1/4 + rho^2) tanh(pi rho) rho d rho for a

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from hyplab import selberg
 from hyplab.cli import run
 from hyplab.geom import _threads
 from hyplab.spectral_action import SpectralInterval, time_average_table
@@ -234,6 +235,17 @@ def test_selberg_roundtrip_passes_default_tol(tmp_path):
                 "--out", str(out)]) == 0
     doc = json.loads((out / "roundtrip.json").read_text())
     assert doc["sup_error"] <= 1e-5
+
+
+def test_selberg_inverse_computes_at_most_one_rule(tmp_path):
+    # every rule but the inverse's one plain rule of >= 512 nodes is read
+    # from the table, so no rule of the Abel step costs an eigen-solve
+    selberg._gauss_legendre.cache_clear()
+    out = tmp_path / "o"
+    assert run(["selberg", "inverse", "--t", "1", "--out", str(out)]) == 0
+    rules = read_manifest(out)["diagnostics"]["gauss_legendre"]
+    assert rules["computed_rules"] <= 1 and rules["table_rules"] > 0
+    assert rules["computed_s"] >= 0.0
 
 
 def test_trace_weyl_csv(tmp_path):

@@ -3,11 +3,15 @@ the radial eigenfunction oracle."""
 
 import inspect
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor, wait
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.interpolate import CubicSpline
+from scipy.special import roots_legendre
 
 from hyplab.errors import BandTooSmall, OdeFailure
 from hyplab import geom, selberg
@@ -43,6 +47,49 @@ def test_gauss_legendre_rules_are_exact_on_polynomials():
         x[0] = 0.0
     # composite rules are cached by panel count, not by n
     assert _gl(300) is _gl(320)
+
+
+def test_gauss_legendre_table_is_roots_legendre():
+    """Every rule up to 256 nodes is read from the table, and it and the
+    computed rules past it are SciPy's rule mapped to [0, 1], bit for
+    bit, in read-only arrays."""
+    _gauss_legendre.cache_clear()
+    before = dict(selberg._gl_counts)
+    for n in [*range(1, 257), 257, 640]:
+        x, w = roots_legendre(n)
+        nodes, wts = _gauss_legendre(n)
+        assert np.array_equal(nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(wts, 0.5 * w)
+        assert not (nodes.flags.writeable or wts.flags.writeable)
+    counts = {k: v - before[k] for k, v in selberg._gl_counts.items()}
+    assert counts["table_rules"] == 256 and counts["computed_rules"] == 2
+    assert counts["computed_s"] > 0.0
+    # there is no empty rule in the table
+    with pytest.raises(ValueError):
+        _gauss_legendre(0)
+
+
+def test_gauss_legendre_counts_lose_no_read():
+    # the block pool's threads read rules at once; each read is counted
+    before = selberg._gl_counts["table_rules"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(lambda: [_gauss_legendre.__wrapped__(64)
+                                            for _ in range(2000)])
+                       for _ in range(8)]
+            assert not wait(futures, timeout=60).not_done
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(f.result()) == 2000 for f in futures)
+    assert selberg._gl_counts["table_rules"] - before == 8 * 2000
+
+
+def test_gauss_legendre_table_ships_with_the_package():
+    # pyproject.toml's package-data carries it into an installed copy
+    assert resources.files("hyplab.data").joinpath(
+        "gauss_legendre.npy").is_file()
 
 
 def test_abel_transform_disc_closed_form():

@@ -1,5 +1,7 @@
 """Each numerical building block lives in one place in the package:
-Gauss-Legendre nodes come only from ``selberg._gauss_legendre``, the
+Gauss-Legendre nodes come only from ``selberg._gauss_legendre``, whose
+table of rules, data/gauss_legendre.npy, is named only in
+``selberg._gl_table``, the
 batched Mobius action (a*z + b)/(c*z + d) is written only in
 ``geom._mobius_batch`` (besides the scalar
 ``MobiusElement.apply_complex``) and called only by the displacement
@@ -35,6 +37,7 @@ import hyplab
 SRC = pathlib.Path(hyplab.__file__).parent
 NODE_SOURCES = {"roots_legendre", "leggauss"}
 ALLOWED = {"nodes": {"_gauss_legendre"},
+           "node table": {"_gl_table"},
            "mobius": {"_mobius_batch", "MobiusElement.apply_complex"},
            "mobius call": {"_displacement", "reduce_to_domain"},
            "det": {"_canonical_batch"},
@@ -163,6 +166,9 @@ def _sites():
                     or getattr(node, "name", None))
             if name in NODE_SOURCES and not isinstance(node, ast.FunctionDef):
                 yield "nodes", path.name, node.lineno, func
+            if (isinstance(node, ast.Constant)
+                    and node.value == "gauss_legendre.npy"):
+                yield "node table", path.name, node.lineno, func
             # an import of quad counts too, at module level
             if name == "quad" and not isinstance(node, ast.FunctionDef):
                 yield "quad", path.name, node.lineno, func

@@ -11,8 +11,7 @@ from hyplab import selberg, spectral_action
 from hyplab.errors import BoundNotReached, QuadratureFailure
 from hyplab.selberg import disc_kernel, selberg_forward
 from hyplab.spectral_action import (SpectralInterval, h_t_closed, h_t_grid,
-                                    lipschitz_bound, period_sequence,
-                                    c_of_s, c_of_s_by_parts,
+                                    lipschitz_bound, c_of_s,
                                     verify_period_bound,
                                     time_avg_lower_bound, chain_lower_bound)
 
@@ -62,16 +61,24 @@ def test_starved_rules_raise_quadrature_failure(monkeypatch):
                       limit=1)
 
 
-def test_period_sequence():
-    assert period_sequence(2.0, 3) == pytest.approx(3.0 * math.pi)
-    with pytest.raises(ValueError):
-        period_sequence(-1.0, 1)
-    with pytest.raises(ValueError):
-        period_sequence(1.0, 0)
+def c_of_s_by_parts(s):
+    """c(s) via the integration-by-parts identity
+    c(s) = -(1/(4 s^2)) Int_0^{2 pi} sin(x) e^{(x-2pi)/s}
+           / sqrt(1 - e^{(x-2pi)/s}) dx,
+    an independent quadrature oracle for ``c_of_s``."""
+    # absorb the inverse-sqrt endpoint with x = 2 pi - w^2
+    def integrand(w):
+        x = 2.0 * math.pi - w * w
+        e = math.exp(-w * w / s)
+        return math.sin(x) * e / math.sqrt(-math.expm1(-w * w / s)) * 2.0 * w
+
+    val = selberg._quad(integrand, 0.0, math.sqrt(2.0 * math.pi),
+                        f"c(s) by parts at s={s}", epsabs=1e-13,
+                        epsrel=1e-11, limit=400)
+    return -val / (4.0 * s * s)
 
 
 def test_period_constant_two_quadratures_agree():
-    # independent integration-by-parts oracle
     for s in (0.7, 1.0, 2.0, 3.0):
         assert c_of_s(s) == pytest.approx(c_of_s_by_parts(s), abs=1e-9)
 
@@ -88,7 +95,7 @@ def test_multiplier_at_periods_below_minus_2c():
     # strictly below -2 c(s)
     s = 1.5
     c = c_of_s(s)
-    h_k = [h_t_closed(period_sequence(s, k), s) for k in (5, 20, 60)]
+    h_k = [h_t_closed(2.0 * math.pi * k / s, s) for k in (5, 20, 60)]
     assert all(h < -2.0 * c for h in h_k)
     assert max(h_k) - min(h_k) < 1e-9
 

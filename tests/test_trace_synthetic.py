@@ -131,9 +131,10 @@ def test_exp_sum_fit_quality():
     f = lambda x: math.exp(-2.0 * x)
     approx = exp_sum_fit(f, K=12, domain=(0.0, 5.0))
     assert approx.sup_error < 1e-5
-    # eval_f reproduces f on the fit domain
+    # Sum_k a_k e^{-(t_k+1) x} reproduces f on the fit domain
     for x in (0.0, 1.0, 4.0):
-        assert approx.eval_f(x) == pytest.approx(f(x), abs=1e-5)
+        fx = approx.coefficients @ np.exp(-(approx.rates + 1.0) * x)
+        assert fx == pytest.approx(f(x), abs=1e-5)
     with pytest.raises(ValueError):
         exp_sum_fit(f, K=4, domain=(1.0, 5.0))
 
