@@ -2,21 +2,22 @@
 words, the exact Dirichlet domain and reduction to it, injectivity
 radius, systole and thin-part statistics.
 
-Enumeration is breadth-first over reduced words, one word length (level)
-at a time, on (N, 4) arrays of matrix entries.  Each level multiplies
-every frontier element by every generator that does not cancel its last
-letter, renormalizes the products with ``geom._canonical_batch`` and
-prunes a product once it moves the centre further than a threshold: R
-(plus 1e-9 for rounding) when the centre is the base point z0 and every
-side of the Dirichlet domain D at z0 is a generator or a generator's
-inverse (the "sides" rule, proved below), and otherwise
-``R + 2 * (max generator displacement)`` (the "generators" rule, a
-heuristic margin).  A surviving product is a
+Enumeration is breadth-first over reduced words in the side pairings of
+the Dirichlet domain D at the base point z0, one word length (level) at
+a time, on (N, 4) arrays of matrix entries.  Each level multiplies every
+frontier element by every letter that does not cancel its last letter,
+renormalizes the products with ``geom._canonical_batch`` and prunes a
+product once it moves z0 further than R (plus 1e-9 for rounding), which
+finds the whole ball (proved below).  A surviving product is a
 duplicate, and is dropped, when it lies within ``_DEDUP_TOL`` in every
 entry of an element kept at a shorter length or of an earlier product of
-its level in (prefix, generator) order.  This can mislabel
-nearly-parabolic inputs, which do not occur for the cocompact groups
-targeted here.
+its level in (prefix, letter) order.  This can mislabel nearly-parabolic
+inputs, which do not occur for the cocompact groups targeted here.  Each
+side letter carries its word in the doubled generators (the generators,
+then their inverses), and a ball's words are spelled in those.  The ball
+about any other point z is the ball about z0 of radius R + 2 d(z0, z),
+filtered to d(z, gamma z) <= R, as
+d(z0, gamma z0) <= d(z0, z) + d(z, gamma z) + d(gamma z, gamma z0).
 
 The Dirichlet domain D = {z : d(z0, z) < d(z0, gamma z), gamma != id}
 is star-shaped about z0: with gamma z0 at polar coordinates
@@ -29,14 +30,24 @@ crossings of these curves and sums the exact arc areas
 Integral (cosh rho - 1) dtheta = [arcsin(cosh(d_g/2) sin phi) - phi],
 phi = theta - theta_g; its radius c is the largest rho, reached at an
 arc end because rho grows with |phi|.
-Certification: any set of elements cuts out a region containing D.  The
-generators' region has some radius c0, and each generator bounding it
-has d_g <= 2 c0, as its bisector comes within c0 of z0.  So the gamma
-with d_g <= R, for R >= 2 c0, cut out a region D_R within B(z0, c0), of
-radius c <= c0.  Any other gamma has d_g > 2c, so each z of D_R has
-d(z, gamma z0) >= d_g - d(z, z0) > c >= d(z, z0): gamma cuts nothing,
-and D = D_R.  A one-generator group's domain (a strip) is truncated to
-B(z0, 3) by capping rho at 3, and the argument holds with c = 3.
+Certification by Poincare's polygon theorem (Beardon, The Geometry of
+Discrete Groups, sec. 9.8; Maskit, Adv. Math. 7, 1971).  Any set of
+elements cuts out a convex polygon P containing D.  Suppose P is
+bounded, the element of each side maps the side of its inverse onto it
+(vertices matching within 1e-9), and the angles of every vertex cycle
+sum to 2 pi / m for an integer m.  Then P is a fundamental domain of the
+group Gamma' that its side pairings generate, hence the Dirichlet domain
+of Gamma' at z0, which lies in P and is a fundamental domain too.  The
+lemma below then reduces every element of Gamma' to the identity by
+steps gamma -> s^-1 gamma, s the side bringing gamma z0 closest to z0.
+If every generator so reduces, Gamma' is the whole group and D = P.
+``_domain`` tries the polygon of the doubled generators, then those of
+the doubled generators and the ball pruned at R in generator letters,
+for R = 1, 2, 3, ...; no candidate needs a proof, as the theorem judges
+it.  It stops with ValueError, naming the last candidate's failure, once
+``_CANDIDATE_BUDGET`` candidates are spent or the word cap truncates a
+ball.  A one-generator group's D is a strip (below), with no vertex to
+check; it is truncated to B(z0, 3) by capping rho at 3.
 
 Membership (``dirichlet_mask``) tests z against the sides of D only: the
 elements whose bisectors attain the envelope's minimum on an arc.  A
@@ -49,8 +60,8 @@ n -> cosh d(z, g^n z0) = A cosh(n ell + s) + B with A > 0 is convex in
 n, so if n = 0 beats n = 1 and n = -1 it beats every n != 0.  The
 envelope's winners are then exactly g and g^-1, so one path serves both.
 
-Pruning at R (the sides rule).  Let z0 be fixed by no nontrivial element
-and gamma != id.  Then w = gamma z0 has d(w, gamma z0) = 0 < d(w, z0), so
+Pruning at R.  Let z0 be fixed by no nontrivial element and
+gamma != id.  Then w = gamma z0 has d(w, gamma z0) = 0 < d(w, z0), so
 w lies outside the closed half-plane of gamma and hence outside the
 closure of D.  For a compact D that closure is the intersection of the
 closed half-planes of its sides (the open ones meet in D, which is
@@ -61,25 +72,19 @@ n -> cosh d(w, g^n z0) above, it would beat every n != 0, whereas
 n = k with gamma = g^k gives 1.  Either way some side s has
 d(w, s z0) < d(w, z0), that is d(z0, s^-1 gamma z0) < d(z0, gamma z0).
 Applied to gamma^-1, some side t has d(z0, gamma t z0) < d(z0, gamma z0).
-Now let every side be a letter (sides come in inverse pairs, so t^-1 is
-one too) and prune at R.  Induct on d(z0, gamma z0) <= R, which takes
-finitely many values as the group is discrete: gamma' = gamma t moves z0
-less, so it was kept (the identity is the root), and the search extends
-it by t^-1 unless its word ends in t, in which case gamma is its parent
-and was kept before.  The product gamma is not pruned, so it is kept
-unless it duplicates a kept element: every gamma of the ball is found
-before the word cap, or the frontier is still open there and the ball
-is flagged truncated.  The pruning test and the membership test compare
-the same computed displacement with R + 1e-9, so rounding can only drop
-an element whose displacement lies within rounding of that bound.  The
-lemma also shows that the sides generate the group (Beardon, The
-Geometry of Discrete Groups, ch. 9; Katok, Fuchsian Groups, ch. 4).
-``_group_ball_cached`` applies the rule when ``_domain`` succeeds and
-each side's row (cos theta_g, sin theta_g, tanh(d_g/2)) is within
-``_SIDE_TOL`` of a doubled generator's row, as gamma z0 determines gamma
-when z0 is fixed by no nontrivial element.  ``_domain`` itself needs a
-ball before it knows the sides, so its certifying ball keeps the
-generators rule.
+The letters are the sides, which come in inverse pairs, so t^-1 is one
+too.  Induct on d(z0, gamma z0) <= R, which takes finitely many values
+as the group is discrete: gamma' = gamma t moves z0 less, so it was
+kept (the identity is the root), and the search extends it by t^-1
+unless its word ends in t, in which case gamma is its parent and was
+kept before.  The product gamma is not pruned, so it is kept unless it
+duplicates a kept element: every gamma of the ball is found before the
+word cap, or the frontier is still open there and the ball is flagged
+truncated.  Pruning and membership are one test of the computed
+displacement against R + 1e-9, so rounding can only drop an element
+whose displacement lies within rounding of that bound.  The lemma also
+shows that the sides generate the group (Beardon, The Geometry of
+Discrete Groups, ch. 9; Katok, Fuchsian Groups, ch. 4).
 
 Reduction (``reduce_to_domain``) moves z to the gamma z nearest the base
 point z0, searching only gamma with
@@ -104,7 +109,8 @@ import numpy as np
 from .errors import EnumerationTruncated
 from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK, _blockmap,
                    _blockwise, _canonical_batch, _disc_chart, _dist_c,
-                   _mobius_batch, mobius_apply, polar_to, sample_ball_complex)
+                   _mobius_batch, _polar_batch, mobius_apply, polar_to,
+                   sample_ball_complex)
 
 # Duplicate words for one group element agree only up to accumulated
 # floating-point error (~1e-9 for entries of size e^{R/2} at word length
@@ -113,11 +119,10 @@ from .geom import (Point, MobiusElement, TWO_PI, _SAMPLE_BLOCK, _blockmap,
 # the base point by less than the systole).  1e-6 splits the difference.
 _DEDUP_TOL = 1e-6
 
-# Rows (cos theta_g, sin theta_g, tanh(d_g/2)) of gamma z0 computed from
-# two words for one element agree to rounding; the rows of distinct
-# elements differ by far more (their images of z0 lie at least the least
-# displacement at z0 apart).
-_SIDE_TOL = 1e-9
+# Candidates (products tried) that the search for D may spend on its
+# balls before it gives up.  A cocompact group's balls grow about e-fold
+# per unit of radius, so the search holds a few times this many at most.
+_CANDIDATE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,6 @@ class EnumerationStats:
     duplicates: int
     frontier_peak: int
     kept: int
-    rule: str  # "sides" (pruned at R) or "generators" (at R + 2 delta_max)
 
 
 @dataclass(frozen=True)
@@ -228,17 +232,6 @@ def builtin_group(name: str) -> GroupSpec:
     return _group_from_dict(json.loads(text))
 
 
-def save_group(spec: GroupSpec, path) -> None:
-    doc = {
-        "name": spec.name,
-        "generators": [[[g.a, g.b], [g.c, g.d]] for g in spec.generators],
-        "base_point": [spec.base_point.x, spec.base_point.y],
-        "max_word_length": spec.max_word_length,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 @functools.lru_cache(maxsize=64)
 def _doubled_generators(G: GroupSpec):
     """The generators followed by their inverses, and for each letter
@@ -289,39 +282,34 @@ def _near_pairs(ref: np.ndarray, qry: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _group_ball_cached(G: GroupSpec, z: Point, R: float) -> GroupBall:
-    return _enumerate(G, z, R, z == G.base_point and _sides_are_letters(G))
+    z0 = G.base_point
+    if z == z0:
+        return _enumerate(G, _domain(G).letters, R)
+    # the ball about z0 holding this one (module docstring)
+    far = _group_ball_cached(G, z0, _ball_radius(
+        R + 2.0 * float(_dist_c(z0.as_complex, z.as_complex))))
+    near = _displacement(far.matrices(), [z.as_complex])[:, 0] <= R + 1e-9
+    return GroupBall(elements=tuple(e for e, ok in zip(far.elements, near)
+                                    if ok),
+                     radius=R, center=z, truncated=far.truncated,
+                     stats=far.stats)
 
 
-@functools.lru_cache(maxsize=64)
-def _sides_are_letters(G: GroupSpec) -> bool:
-    """Whether the sides rule applies at the base point: D exists and
-    each of its sides is a doubled generator (module docstring).  Cached,
-    failures too, so a domain that cannot be built is tried once."""
-    try:
-        sides = _domain(G).sides
-    except (EnumerationTruncated, ValueError):
-        return False
-    rows = _polar(G.base_point, _doubled_generators(G)[0])[2]
-    gap = np.abs(sides.T[:, None, :] - rows.T[None, :, :]).max(axis=2)
-    return bool((gap.min(axis=1) <= _SIDE_TOL).all())
-
-
-def _enumerate(G: GroupSpec, z: Point, R: float, sides: bool) -> GroupBall:
-    """The ball of radius R about z, pruned by the sides rule or by the
-    generators rule (module docstring)."""
-    gens, inv_index = _doubled_generators(G)
-    gmat = np.array([g.entries for g in gens])
+def _enumerate(G: GroupSpec, letters: tuple, R: float) -> GroupBall:
+    """The ball of radius R about the base point z0 over reduced words in
+    ``letters`` (elements, the index of each one's inverse, and each
+    one's word in the doubled generators), pruned once a product moves
+    z0 further than R + 1e-9 (module docstring)."""
+    elements, inv_index, spelled = letters
+    gmat = np.array([g.entries for g in elements])
     inv_index = np.array(inv_index)
-    zc = [z.as_complex]
-    threshold = (R + 1e-9 if sides
-                 else R + 2.0 * float(_displacement(gmat, zc).max()))
+    zc = [G.base_point.as_complex]
 
     frontier = np.array([MobiusElement.identity().entries])
     last = np.array([-1])  # last letter of each frontier word
     seen = frontier  # every kept element, sorted on entry a
-    # per level: parent index and letter of each kept element, and the
-    # kept elements inside the ball with their entries
-    parents, letters, inside = [], [], []
+    # per level: parent index, letter and entries of each kept element
+    parents, steps, levels = [], [], []
     candidates = duplicates = kept = peak = 0
     for _depth in range(G.max_word_length):
         blocks = []
@@ -330,7 +318,7 @@ def _enumerate(G: GroupSpec, z: Point, R: float, sides: bool) -> GroupBall:
             ii, kk = np.nonzero(last[lo:lo + _BLOCK, None] != inv_index)
             ii += lo
             cand = _canonical_batch(_products(frontier[ii], gmat[kk]))
-            ok = _displacement(cand, zc)[:, 0] <= threshold  # prune first
+            ok = _displacement(cand, zc)[:, 0] <= R + 1e-9  # prune first
             candidates += len(ok)
             blocks.append((cand[ok], ii[ok], kk[ok]))
         mats, par, let = map(np.concatenate, zip(*blocks))
@@ -349,9 +337,8 @@ def _enumerate(G: GroupSpec, z: Point, R: float, sides: bool) -> GroupBall:
         new = ~dup
         frontier, last = mats[new], let[new]
         parents.append(par[new])
-        letters.append(last)
-        ins = np.nonzero(_displacement(frontier, zc)[:, 0] <= R + 1e-9)[0]
-        inside.append((ins, frontier[ins]))
+        steps.append(last)
+        levels.append(frontier)
         kept += len(frontier)
         peak = max(peak, len(frontier))
         # timsort merges the two sorted runs in linear time
@@ -361,19 +348,20 @@ def _enumerate(G: GroupSpec, z: Point, R: float, sides: bool) -> GroupBall:
             break
 
     elements = []
-    for level, (idx, ents) in enumerate(inside):
+    for level, ents in enumerate(levels):
+        idx = np.arange(len(ents))
         words = np.empty((len(idx), level + 1), dtype=int)
         for pos in range(level, -1, -1):
-            words[:, pos] = letters[pos][idx]
+            words[:, pos] = steps[pos][idx]
             idx = parents[pos][idx]
-        elements += [(MobiusElement._raw(*e), tuple(w))
-                     for e, w in zip(ents.tolist(), words.tolist())]
+        elements += [(MobiusElement._raw(*e),
+                      tuple(k for w in word for k in spelled[w]))
+                     for e, word in zip(ents.tolist(), words.tolist())]
     stats = EnumerationStats(
         levels=len(parents), candidates=candidates,
         pruned=candidates - duplicates - kept, duplicates=duplicates,
-        frontier_peak=peak, kept=kept,
-        rule="sides" if sides else "generators")
-    return GroupBall(elements=tuple(elements), radius=R, center=z,
+        frontier_peak=peak, kept=kept)
+    return GroupBall(elements=tuple(elements), radius=R, center=G.base_point,
                      truncated=bool(len(frontier)), stats=stats)
 
 
@@ -387,23 +375,22 @@ def group_ball(G: GroupSpec, z: Point, R: float) -> GroupBall:
     """All nontrivial group elements gamma with d(z, gamma z) <= R that
     are reachable within the word-length cap.
 
-    At the base point, when every side of the Dirichlet domain there is
-    a generator or a generator's inverse, products are pruned once they
-    move z further than R (plus 1e-9 for rounding), and the module
-    docstring proves that this finds every such gamma.  Otherwise, or
-    when the domain cannot be built, they are pruned beyond
-    R + 2 max_g d(z, g z), a margin without proof.  ``stats.rule`` says
-    which rule ran.
+    The search runs over words in the side pairings of the certified
+    Dirichlet domain D at the base point z0 and prunes products once
+    they move z0 further than R (plus 1e-9 for rounding), which the
+    module docstring proves finds every such gamma.  About another
+    point it filters the ball about z0 of radius R + 2 d(z0, z), rounded
+    up to a multiple of 0.5.  Words are spelled in the doubled
+    generators.
 
     Raises EnumerationTruncated (with the partial ball attached) when
-    branches below the pruning threshold were still open at the cap.
+    branches below the pruning threshold were still open at the cap,
+    and ValueError, as from ``dirichlet_domain``, when D is not
+    certified.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
-    return _complete(G, _group_ball_cached(G, z, float(R)))
-
-
-def _complete(G: GroupSpec, ball: GroupBall) -> GroupBall:
+    ball = _group_ball_cached(G, z, float(R))
     if ball.truncated:
         raise EnumerationTruncated(
             f"word cap {G.max_word_length} reached with open branches; "
@@ -441,7 +428,7 @@ def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
     m = max d(z0, z) and c is D's covering radius, infinite when D is
     truncated (the module docstring proves the radius suffices).
     Returns (gamma z, the same gamma applied to ``companion`` or None).
-    ValueError, as from ``dirichlet_domain``, if D is unbounded."""
+    ValueError, as from ``dirichlet_domain``, if D is not certified."""
     zc = np.asarray(zc)
     z0c = G.base_point.as_complex
     far = float(_dist_c(np.full(zc.shape, z0c), zc).max(initial=0.0))
@@ -471,7 +458,7 @@ def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
     docstring).  With w the disc-chart point of z about z0 and gamma z0
     at tanh(d_g/2) e^{i theta_g}, z lies on z0's side of their bisector
     iff 2 Re(w e^{-i theta_g}) < tanh(d_g/2) (1 + |w|^2).  ValueError,
-    as from ``dirichlet_domain``, if D is unbounded."""
+    as from ``dirichlet_domain``, if D is not certified."""
     cos_g, sin_g, tanh_g = _domain(G).sides[:, :, None]
     zc = np.asarray(zc)
 
@@ -487,49 +474,151 @@ def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
 
 
 class _Domain(NamedTuple):
-    """The Dirichlet domain D at the base point, as ``_envelope`` finds
+    """The Dirichlet domain D at the base point, as ``_domain`` certifies
     it: area, radius of the least ball about z0 covering the (possibly
-    truncated) D, covering radius of D itself (infinite when truncated)
-    and, per side, rows cos theta_g, sin theta_g, tanh(d_g/2) of the
-    polar coordinates of gamma z0 (read-only, shape (3, sides))."""
+    truncated) D, covering radius of D itself (infinite when truncated),
+    per side rows cos theta_g, sin theta_g, tanh(d_g/2) of the polar
+    coordinates of gamma z0 (read-only, shape (3, sides)), the side
+    letters, and for a polygon its certificate: the vertices, their
+    angles, the vertex cycles and the largest pairing miss."""
 
     area: float
     radius: float
     covering: float
     sides: np.ndarray
+    letters: tuple
+    polygon: tuple | None
 
 
 @functools.lru_cache(maxsize=64)
 def _domain(G: GroupSpec) -> _Domain:
-    cap = 3.0 if len(G.generators) == 1 else math.inf
-    # the generators' region bounds D's radius by c, so every gamma that
-    # can cut D lies in the ball of radius 2c
-    c = _envelope(G, _doubled_generators(G)[0], cap)[1]
-    ball = _complete(G, _enumerate(G, G.base_point, _ball_radius(2.0 * c),
-                                   sides=False))
-    area, radius, sides = _envelope(G, [g for g, _ in ball.elements], cap)
-    sides.setflags(write=False)
-    return _Domain(area, radius, radius if cap == math.inf else math.inf,
-                   sides)
+    gens, inv_index = _doubled_generators(G)
+    letters = (gens, inv_index, tuple((k,) for k in range(len(gens))))
+    if len(G.generators) == 1:  # the strip: its sides are g and g^-1
+        rows = _polar(G.base_point, gens)[2]
+        rows.setflags(write=False)
+        return _Domain(*_envelope(G, gens, 3.0)[:2], math.inf, rows,
+                       letters, None)
+    elements, words = gens, letters[2]
+    spent, R, reach = 0, 0, math.inf
+    while True:
+        try:
+            shape = _envelope(G, elements, math.inf)
+            # no element moving z0 further than reach can cut P, nor D
+            reach = 2.0 * shape[1] + 1e-9
+            return _certified(G, elements, words, shape)
+        except ValueError as exc:
+            failure = exc
+        R += 1
+        ball = _enumerate(G, letters, R)
+        spent += ball.stats.candidates
+        if ball.truncated or spent > _CANDIDATE_BUDGET:
+            raise ValueError(
+                f"no candidate polygon certifies the Dirichlet domain of "
+                f"group {G.name!r} (balls up to radius {R}, {spent} "
+                f"candidates); the last one failed: {failure}")
+        # the doubled generators outside the ball, then the ball
+        pool = [(g, (k,)) for k, g in enumerate(gens)
+                if (k,) not in {w for _, w in ball.elements}]
+        pool += ball.elements
+        near = _displacement(np.array([g.entries for g, _ in pool]),
+                             [G.base_point.as_complex])[:, 0] <= reach
+        elements, words = zip(*(p for p, ok in zip(pool, near) if ok))
+
+
+def _certified(G: GroupSpec, elements, words, shape) -> _Domain:
+    """D, when the polygon P cut out by the bisectors of z0 and gamma z0
+    for the given elements (with their words in the doubled generators),
+    of ``_envelope`` shape, passes Poincare's theorem (module docstring);
+    ValueError naming the condition that P fails otherwise."""
+    z0c = G.base_point.as_complex
+    area, radius, sides, starts = shape
+    els = [elements[s] for s in sides]
+    rows = _polar(G.base_point, els)[2]
+    # vertex i begins side i, which runs to vertex i + 1 with P on its left
+    vert = _polar_batch(z0c, starts, np.arctanh(
+        rows[2] / (np.cos(starts) * rows[0] + np.sin(starts) * rows[1])))
+    nxt = np.roll(vert, -1)
+    # the sides in the order of their words: the doubled generators' own
+    # order when each side is one of them
+    order = sorted(range(len(els)), key=lambda i: (len(words[sides[i]]),
+                                                   words[sides[i]]))
+    # the inverse of side i's element maps it onto its partner, reversed
+    partner, miss = [0] * len(els), 0.0
+    for i in order:
+        h = els[i].inverse()
+        gap = np.maximum(_dist_c(h.apply_complex(nxt[i]), vert),
+                         _dist_c(h.apply_complex(vert[i]), nxt))
+        partner[i] = int(gap.argmin())
+        miss = max(miss, float(gap.min()))
+        if miss > 1e-9:
+            raise ValueError(f"the side of word {words[sides[i]]} pairs "
+                             f"with no side: vertices miss by {miss:.1e}")
+    # a cycle steps from vertex i, by the inverse of side i's element, to
+    # the vertex that begins the side after i's partner
+    step = (np.array(partner) + 1) % len(els)
+    if len(set(step.tolist())) < len(els):
+        raise ValueError("two sides pair with one side")
+    angle = (np.angle(_disc_chart(vert, np.roll(vert, 1)))
+             - np.angle(_disc_chart(vert, nxt))) % TWO_PI
+    cycles, todo = [], set(range(len(els)))
+    while todo:
+        cycle = [min(todo)]
+        while step[cycle[-1]] != cycle[0]:
+            cycle.append(int(step[cycle[-1]]))
+        todo -= set(cycle)
+        total = float(angle[cycle].sum())
+        m = max(1, round(TWO_PI / total))
+        if abs(total - TWO_PI / m) > 1e-9:
+            raise ValueError(f"the angles of a vertex cycle sum to {total!r},"
+                             " not 2 pi / m for an integer m")
+        cycles.append(tuple(cycle))
+    mats, zc = np.array([g.entries for g in els]), [z0c]
+    for k, g in enumerate(G.generators):
+        cand, d = np.array([g.entries]), np.inf
+        while (dc := _displacement(cand, zc)[:, 0]).min() < d:
+            gamma, d = cand[dc.argmin()], dc.min()
+            cand = _canonical_batch(_products(
+                mats, np.broadcast_to(gamma, mats.shape)))
+        if np.abs(gamma - (1.0, 0.0, 0.0, 1.0)).max() > _DEDUP_TOL:
+            raise ValueError(f"generator {k} does not reduce to the "
+                             "identity through the sides")
+    rank = np.argsort(order)
+    rows = rows[:, order]
+    rows.setflags(write=False)
+    letters = (tuple(els[i] for i in order),
+               tuple(int(rank[partner[i]]) for i in order),
+               tuple(words[sides[i]] for i in order))
+    return _Domain(area, radius, radius, rows, letters,
+                   (vert, angle, tuple(cycles), miss))
 
 
 def dirichlet_domain(G: GroupSpec) -> tuple:
     """(area, radius) of the Dirichlet domain D at the base point z0:
     its exact area and the least radius of a ball about z0 covering it
     (module docstring).  A one-generator group's D is truncated to
-    B(z0, 3), of radius 3.0.  ValueError if the generators alone leave D
-    unbounded."""
+    B(z0, 3), of radius 3.0.  ValueError, naming the last failure, if no
+    candidate polygon certifies D."""
     return _domain(G)[:2]
 
 
 def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
-    """(area, radius, sides) of the region about z0 cut out by the
-    bisectors of z0 and gamma z0 for the given elements, and by
-    rho <= cap; sides holds rows cos theta_g, sin theta_g, tanh(d_g/2)
-    of each element whose bisector attains the minimum on some arc."""
+    """(area, radius, sides, starts) of the region about z0 cut out by
+    the bisectors of z0 and gamma z0 for the given elements, and by
+    rho <= cap; sides indexes, counterclockwise, the elements whose
+    bisector attains the minimum on some arc, and starts holds the angle
+    at which each one's run of arcs begins."""
     theta, d, rows = _polar(G.base_point, elements)
     T, C = rows[2], np.cosh(0.5 * d)
     half = np.arccos(T)  # half-width of each bisector's range
+    # Where the ranges leave a gap on the circle, rho is infinite: the
+    # region is unbounded (unless capped).  Sweep the ranges by start.
+    order = np.argsort((theta - half) % TWO_PI)
+    start = (theta - half)[order] % TWO_PI
+    gap = np.append(start[1:], start[0] + TWO_PI) > np.maximum.accumulate(
+        start + 2.0 * half[order])
+    if cap == math.inf and gap.any():
+        raise ValueError("the polygon is unbounded")
     # two bisectors can cross only inside both of their ranges
     i, j = np.triu_indices(len(d), 1)
     near = np.abs((theta[i] - theta[j] + math.pi) % TWO_PI - math.pi) \
@@ -549,9 +638,6 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
         rho = np.where(np.cos(phi) > T, np.arctanh(T / np.cos(phi)), np.inf)
     arc, k = np.arange(len(mid)), rho.argmin(axis=1)
     phi, rho = phi[arc, k], rho[arc, k]
-    if not np.isfinite(np.minimum(rho, cap)).all():
-        raise ValueError(f"the generators of group {G.name!r} leave its "
-                         "Dirichlet domain unbounded")
     side = rho < cap  # arcs bounded by a bisector, not by the cap
     b = k[side, None]
     ends = phi[side, None] + np.stack([lo - mid, hi - mid], 1)[side]
@@ -566,8 +652,10 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
     # as the mask tests the untruncated D.  Where several bisectors meet
     # at a vertex their computed crossings differ by a few ulps of 2 pi,
     # leaving arcs that short on which any of them may win.
-    sides = np.unique(k[np.isfinite(rho) & (hi - lo > 1e-9)])
-    return area, radius, rows[:, sides]
+    run = np.isfinite(rho) & (hi - lo > 1e-9)
+    k, lo = k[run], lo[run]
+    first = k != np.roll(k, 1)
+    return area, radius, k[first], lo[first]
 
 
 def _polar(z0: Point, elements) -> tuple:

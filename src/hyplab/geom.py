@@ -104,12 +104,6 @@ class MobiusElement:
     def apply_complex(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def approx_eq(self, other: "MobiusElement", tol: float = 1e-9) -> bool:
-        return max(abs(p - q) for p, q in zip(self.entries, other.entries)) <= tol
-
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return self.approx_eq(MobiusElement.identity(), tol)
-
 
 def mobius_apply(g: MobiusElement, z: Point) -> Point:
     """Act by the Mobius transformation z -> (az+b)/(cz+d)."""

@@ -69,13 +69,33 @@ def test_csv_format_contract(tmp_path):
 def test_group_ball_reaches_radius_10(tmp_path):
     """Pruned at R through the side pairings, the Bolza ball of radius
     10 finishes within the word cap of 24, which pruning at
-    R + 2 delta_max reaches with branches still open."""
+    R + 2 delta_max reached with branches still open."""
     out = tmp_path / "o"
     assert run(["group", "ball", "--group", "bolza", "--radius", "10",
                 "--out", str(out)]) == 0
     assert json.loads((out / "group_ball.json").read_text())["count"] == 5432
-    stats = read_manifest(out)["diagnostics"]["enumeration"]
-    assert stats["rule"] == "sides" and stats["kept"] == 5432
+    assert read_manifest(out)["diagnostics"]["enumeration"]["kept"] == 5432
+
+
+def test_unbounded_domain_is_a_clean_error(tmp_path, capsys):
+    """A Schottky group (free, not cocompact): translations of length 4
+    along two perpendicular axes through i.  No candidate polygon of its
+    Dirichlet domain is bounded, so the search for D spends its
+    candidate budget and ``group ball`` exits 1 with error.json, fast."""
+    group = tmp_path / "schottky.json"
+    e, ch, sh = math.exp(2.0), math.cosh(2.0), math.sinh(2.0)
+    group.write_text(json.dumps({
+        "generators": [[[e, 0.0], [0.0, 1.0 / e]], [[ch, -sh], [-sh, ch]]],
+        "base_point": [0.0, 1.0], "max_word_length": 40}))
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert run(["group", "ball", "--group", str(group), "--radius", "4",
+                "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "unbounded" in err["message"]
+    assert not (out / "manifest.json").exists()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_rerun_byte_identical_and_thread_independent(tmp_path):

@@ -15,10 +15,10 @@ from hyplab import fuchsian
 from hyplab.cli import run
 from hyplab.errors import EnumerationTruncated
 from hyplab.geom import (Point, MobiusElement, mobius_apply, hyp_dist,
-                         sample_ball_complex, _dist_c, _mobius_batch,
-                         _SAMPLE_BLOCK)
+                         sample_ball_complex, _canonical_batch, _dist_c,
+                         _mobius_batch, _SAMPLE_BLOCK)
 from hyplab.fuchsian import (GroupSpec, builtin_group, load_group,
-                             save_group, group_ball, injectivity_radius,
+                             group_ball, injectivity_radius,
                              dirichlet_mask, reduce_to_domain, systole,
                              thin_part_fraction, dirichlet_domain,
                              min_displacement_batch, _doubled_generators,
@@ -30,6 +30,11 @@ from hyplab.trace import lattice_count_bound
 OCT_SYSTOLE = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 
 
+def close(g, h, tol=1e-9):
+    """Whether two elements agree within tol in every entry."""
+    return max(abs(p - q) for p, q in zip(g.entries, h.entries)) <= tol
+
+
 def test_builtin_groups_load():
     for name in ("cyclic_L2", "bolza"):
         G = builtin_group(name)
@@ -39,16 +44,19 @@ def test_builtin_groups_load():
 
 
 def test_group_spec_roundtrip(tmp_path, cyclic_group):
+    G = cyclic_group
     path = tmp_path / "g.json"
-    save_group(cyclic_group, path)
+    doc = {"name": G.name,
+           "generators": [[[g.a, g.b], [g.c, g.d]] for g in G.generators],
+           "base_point": [G.base_point.x, G.base_point.y],
+           "max_word_length": G.max_word_length}
+    path.write_text(json.dumps(doc))
     G2 = load_group(path)
-    assert len(G2.generators) == len(cyclic_group.generators)
-    for g, h in zip(G2.generators, cyclic_group.generators):
-        assert g.approx_eq(h, tol=1e-12)
+    assert len(G2.generators) == len(G.generators)
+    for g, h in zip(G2.generators, G.generators):
+        assert close(g, h, tol=1e-12)
     # the domain is computed, so a typed-in radius is an unknown key,
     # ignored like any other
-    doc = json.loads(path.read_text())
-    assert "domain_radius" not in doc
     doc["domain_radius"] = 2.5
     path.write_text(json.dumps(doc))
     assert load_group(path) == G2
@@ -76,7 +84,7 @@ def test_cyclic_ball_matches_brute_force(cyclic_group):
     assert len(ball) == len(expected) == 6
     found = [el for el, _ in ball.elements]
     for gk in expected:
-        assert any(gk.approx_eq(el, tol=1e-9) for el in found)
+        assert any(close(gk, el) for el in found)
     # displacements are even integers 2|k|
     disp = np.sort(ball.displacements())
     assert np.allclose(disp, [2.0, 2.0, 4.0, 4.0, 6.0, 6.0], atol=1e-9)
@@ -126,14 +134,20 @@ def test_ball_csv_is_byte_identical_to_the_word_enumerator(tmp_path, group,
     assert doc["count"] <= stats["kept"] and stats["levels"] >= 1
 
 
-def test_ball_words_multiply_to_their_elements(bolza_group):
-    gens, _ = _doubled_generators(bolza_group)
-    ball = group_ball(bolza_group, bolza_group.base_point, 7.0)
+def assert_words_multiply(G, ball):
+    """Each word of the ball, in G's doubled generators, multiplies to
+    its element."""
+    gens, _ = _doubled_generators(G)
     for g, word in ball.elements:
         prod = MobiusElement.identity()
         for k in word:
             prod = prod @ gens[k]
-        assert prod.approx_eq(g, tol=1e-9)
+        assert close(prod, g)
+
+
+def test_ball_words_multiply_to_their_elements(bolza_group):
+    assert_words_multiply(
+        bolza_group, group_ball(bolza_group, bolza_group.base_point, 7.0))
 
 
 def test_ball_elements_are_distinct(bolza_group):
@@ -154,15 +168,50 @@ def test_truncated_ball_is_part_of_the_full_ball(bolza_group):
                                                    6.0).elements)
 
 
+def margin_ball(G, z, R):
+    """The matrices of every element moving z by at most R, found by a
+    breadth-first search over reduced words in the doubled generators
+    that prunes a product once it moves z further than
+    R + 2 max_g d(z, g z): the margin rule that built group balls before
+    the domain was certified, kept as an oracle that does not need D.
+    The search must close within the word cap."""
+    gens, inv = _doubled_generators(G)
+    gmat, zc = np.array([g.entries for g in gens]), [z.as_complex]
+    bound = R + 2.0 * _displacement(gmat, zc).max()
+    frontier, last = np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([-1])
+    seen, found = frontier, []
+    for _ in range(G.max_word_length):
+        blocks = []  # of frontier rows, to bound the temporaries
+        for lo in range(0, len(frontier), 4096):
+            i, k = np.nonzero(last[lo:lo + 4096, None] != np.array(inv))
+            cand = _canonical_batch(fuchsian._products(frontier[lo + i],
+                                                       gmat[k]))
+            ok = _displacement(cand, zc)[:, 0] <= bound
+            blocks.append((cand[ok], k[ok]))
+        cand, k = map(np.concatenate, zip(*blocks))
+        # drop the elements of earlier levels and repeats within this one
+        order = np.argsort(cand[:, 0], kind="stable")
+        srt = cand[order]
+        dup = np.zeros(len(cand), dtype=bool)
+        dup[order[fuchsian._near_pairs(seen, srt)[0]]] = True
+        a, b = fuchsian._near_pairs(srt, srt)
+        dup[order[a[order[a] > order[b]]]] = True
+        frontier, last = cand[~dup], k[~dup]
+        found.append(frontier)
+        seen = np.concatenate([seen, frontier])
+        seen = seen[np.argsort(seen[:, 0], kind="stable")]
+        if not len(frontier):
+            break
+    assert not len(frontier), "the margin search reached the word cap"
+    return _within(np.concatenate(found), z, R)
+
+
 @pytest.fixture(scope="module")
 def bolza_reference():
-    """Every element moving z0 by at most 9 under Bolza's generators,
-    pruned at R + 2 delta_max with a word cap of 40: the enumeration
-    every group ball used before the sides rule."""
+    """Every element moving z0 by at most 9 under Bolza's generators, by
+    the margin search with a word cap of 40."""
     G = dataclasses.replace(builtin_group("bolza"), max_word_length=40)
-    ball = fuchsian._enumerate(G, G.base_point, 9.0, sides=False)
-    assert not ball.truncated and ball.stats.rule == "generators"
-    return ball.matrices()
+    return margin_ball(G, G.base_point, 9.0)
 
 
 def _within(mats, z, R):
@@ -185,7 +234,6 @@ def test_sides_rule_ball_is_the_reference_ball(bolza_group, bolza_reference,
                                                R):
     G, z0 = bolza_group, bolza_group.base_point
     ball = group_ball(G, z0, R)
-    assert ball.stats.rule == "sides"
     assert_same_elements(ball.matrices(), _within(bolza_reference, z0, R))
 
 
@@ -193,11 +241,20 @@ def test_sides_rule_ball_is_the_reference_ball(bolza_group, bolza_reference,
 def test_sides_rule_ball_is_the_reference_ball_cyclic(cyclic_group, R):
     G, z0 = cyclic_group, cyclic_group.base_point
     ball = group_ball(G, z0, R)
-    ref = fuchsian._enumerate(dataclasses.replace(G, max_word_length=40),
-                              z0, R, sides=False)
-    assert ball.stats.rule == "sides" and ref.stats.rule == "generators"
-    assert not ref.truncated
-    assert_same_elements(ball.matrices(), ref.matrices())
+    ref = margin_ball(dataclasses.replace(G, max_word_length=40), z0, R)
+    assert_same_elements(ball.matrices(), ref)
+
+
+@pytest.mark.parametrize("R", [4.0, 6.0])
+def test_off_centre_ball_is_the_filtered_reference(bolza_group,
+                                                   bolza_reference, R):
+    """About z = (0.3, 1.2) the ball is the z0 ball of radius
+    R + 2 d(z0, z), rounded up to 7.0 and 8.0, filtered; it holds the
+    elements of the reference ball that move z by at most R."""
+    z = Point(0.3, 1.2)
+    ball = group_ball(bolza_group, z, R)
+    assert ball.center == z and ball.radius == R
+    assert_same_elements(ball.matrices(), _within(bolza_reference, z, R))
 
 
 @pytest.fixture(scope="module")
@@ -210,16 +267,14 @@ def off_centre():
     G = builtin_group("bolza")
     z = Point(0.3, 1.2)
     els = [g for g, _ in group_ball(G, G.base_point, 7.0).elements]
-    area, radius, sides = fuchsian._envelope(
+    area, radius, sides, _ = fuchsian._envelope(
         dataclasses.replace(G, base_point=z), els, math.inf)
     assert 2.0 * radius + 2.0 * hyp_dist(z, G.base_point) < 7.0
     assert area == pytest.approx(4.0 * math.pi, rel=1e-12)
-    assert sides.shape == (3, 18)
-    rows = fuchsian._polar(z, els)[2]
-    gap = np.abs(sides.T[:, None, :] - rows.T[None, :, :]).max(axis=2)
+    assert len(sides) == 18
     pairings = []
-    for g in (els[k] for k in gap.argmin(axis=1)):
-        if not any(g.inverse().approx_eq(h, tol=1e-9) for h in pairings):
+    for g in (els[k] for k in sides):
+        if not any(close(g.inverse(), h) for h in pairings):
             pairings.append(g)
     assert len(pairings) == 9
     return z, pairings
@@ -227,70 +282,121 @@ def off_centre():
 
 def test_sides_rule_off_centre(off_centre, bolza_reference):
     """The 9 side pairings at z generate the group and, as generators
-    with base point z, get the sides rule.  Their balls about z hold the
-    elements of Bolza's reference ball that move z by at most R, as
-    d(z0, gamma z0) <= d(z, gamma z) + 2 d(z0, z) <= 6 + 0.66 < 9."""
+    with base point z, are the sides of D there.  Their balls about z
+    hold the elements of Bolza's reference ball that move z by at most
+    R, as d(z0, gamma z0) <= d(z, gamma z) + 2 d(z0, z) <= 6 + 0.66 < 9."""
     z, pairings = off_centre
     G = GroupSpec(generators=pairings, name="bolza-off-centre",
                   max_word_length=60, base_point=z)
     for R in (4.0, 6.0):
         ball = group_ball(G, z, R)
-        assert ball.stats.rule == "sides"
         assert_same_elements(ball.matrices(), _within(bolza_reference, z, R))
 
 
-def test_side_check_finds_a_missing_side(bolza_group, off_centre,
-                                         bolza_reference):
-    """Bolza's 4 generators and all but one of the other side pairings
-    at z: for the first pairing s whose removal leaves the generators'
-    domain bounded, D at z builds, but its sides s and s^-1 are not
-    letters, so the ball about z falls back to the generators rule."""
+def test_bolza_certificate(bolza_group):
+    """The octagon of Bolza's doubled generators certifies on its own: 8
+    vertices at the circumradius arccosh((1 + sqrt 2)^2), each of angle
+    pi/4, one vertex cycle of angle sum 2 pi, and side pairings mapping
+    vertices onto vertices.  Its sides are the doubled generators in
+    their own order, so group balls keep their words."""
+    G = bolza_group
+    D = fuchsian._domain(G)
+    vert, angle, cycles, miss = D.polygon
+    assert len(vert) == 8
+    assert np.abs(angle - math.pi / 4.0).max() <= 1e-12
+    assert len(cycles) == 1 and sorted(cycles[0]) == list(range(8))
+    assert abs(angle.sum() - 2.0 * math.pi) <= 1e-12
+    assert miss <= 1e-12
+    assert np.allclose(_dist_c(G.base_point.as_complex, vert),
+                       math.acosh((1.0 + math.sqrt(2.0)) ** 2),
+                       rtol=0.0, atol=1e-12)
+    gens, inv = _doubled_generators(G)
+    assert D.letters == (gens, inv, tuple((k,) for k in range(8)))
+
+
+def test_off_centre_certificate(off_centre):
+    """At z = (0.3, 1.2) the 9 side pairings and their inverses cut out
+    D with 18 vertices in 6 cycles, each of angle sum 2 pi."""
+    z, pairings = off_centre
+    G = GroupSpec(generators=pairings, max_word_length=60, base_point=z)
+    vert, angle, cycles, miss = fuchsian._domain(G).polygon
+    assert len(vert) == 18 and len(cycles) == 6
+    assert sorted(sum(cycles, ())) == list(range(18))
+    for cycle in cycles:
+        assert angle[list(cycle)].sum() == pytest.approx(2.0 * math.pi,
+                                                         abs=1e-9)
+    assert miss <= 1e-9
+
+
+def _missing_side_sets(bolza_group, off_centre):
+    """Bolza's 4 generators and all but one of the other 5 side pairings
+    at z = (0.3, 1.2), for each choice of the omitted one."""
     z, pairings = off_centre
     octagon = bolza_group.generators
-
-    def in_octagon(g):
-        return any(g.approx_eq(h, tol=1e-9) or g.inverse().approx_eq(
-            h, tol=1e-9) for h in octagon)
-
-    others = [g for g in pairings if not in_octagon(g)]
+    others = [g for g in pairings if not any(
+        close(g, h) or close(g.inverse(), h) for h in octagon)]
     assert len(others) == 5
-    for s in others:
-        G = GroupSpec(generators=octagon + tuple(g for g in others
-                                                  if g is not s),
-                      max_word_length=40, base_point=z)
-        try:
-            fuchsian._envelope(G, _doubled_generators(G)[0], math.inf)
-        except ValueError:
-            continue
-        break
-    else:
-        pytest.fail("every choice leaves the generators' domain unbounded")
-    assert fuchsian._domain(G).sides.shape == (3, 18)
-    ball = group_ball(G, z, 4.0)
-    assert ball.stats.rule == "generators"
+    return [GroupSpec(generators=octagon + tuple(g for g in others
+                                                 if g is not s),
+                      max_word_length=40, base_point=z) for s in others]
+
+
+def test_certificate_rejects_a_missing_side(bolza_group, off_centre):
+    """Without one side pairing the generators' polygon at z is not D:
+    for the first choice it is unbounded, and for the second the side of
+    the first generator pairs with no side, missing by 4.7e-2."""
+    sets = _missing_side_sets(bolza_group, off_centre)
+    gens = _doubled_generators(sets[0])[0]
+    with pytest.raises(ValueError, match="unbounded"):
+        fuchsian._envelope(sets[0], gens, math.inf)
+    gens = _doubled_generators(sets[1])[0]
+    with pytest.raises(ValueError, match=r"word \(0,\) .* by 4\.7e-02"):
+        fuchsian._certified(sets[1], gens, [(k,) for k in range(16)],
+                            fuchsian._envelope(sets[1], gens, math.inf))
+
+
+@pytest.mark.parametrize("choice", range(5))
+def test_side_check_finds_a_missing_side(bolza_group, off_centre,
+                                         bolza_reference, choice):
+    """Each missing-side set certifies from a candidate ball, and its
+    ball about z is the reference's, within 4 MB: the search for D no
+    longer grows without bound (one of these sets once passed 3 GB, and
+    another raised ValueError)."""
+    G = _missing_side_sets(bolza_group, off_centre)[choice]
+    z = G.base_point
+    tracemalloc.start()
+    try:
+        D = fuchsian._domain(G)
+        ball = group_ball(G, z, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(D.polygon[0]) == 18 and len(D.polygon[2]) == 6
+    # two sides are words of two letters: the omitted pairing and its
+    # inverse
+    assert sorted(map(len, D.letters[2])) == [1] * 16 + [2, 2]
     assert_same_elements(ball.matrices(), _within(bolza_reference, z, 4.0))
+    assert peak < 4e6
 
 
-def test_other_generators_fall_back_to_the_generators_rule(bolza_group):
-    """g2 replaced by g1 g2^-1 still generates Bolza's group, but the
-    sides of D are no longer all letters (its generators' domain is not
-    even bounded), so the ball is pruned at R + 2 delta_max and is
-    whole.  Pruned at R it would miss elements: 7 of 8 at R = 4 and 88
-    of 96 at R = 6.  No test on the builtins can catch a wrong side
-    check, because their generators are the side pairings; the proof in
-    the module docstring carries that weight (the off-centre test above
-    checks the row comparison itself)."""
+def test_other_generators_certify_from_a_candidate_ball(bolza_group):
+    """g2 replaced by g1 g2^-1 still generates Bolza's group, but its
+    generators' polygon is unbounded: D certifies from a candidate ball,
+    whose words for g2 and g2^-1 become side letters.  The balls are
+    Bolza's, and their words multiply to their elements."""
     g = bolza_group.generators
     G = dataclasses.replace(
         bolza_group, generators=(g[0], g[0] @ g[1].inverse()) + g[2:])
     z0 = G.base_point
+    with pytest.raises(ValueError, match="unbounded"):
+        fuchsian._envelope(G, _doubled_generators(G)[0], math.inf)
+    assert len(fuchsian._domain(G).polygon[0]) == 8
     for R, count in ((4.0, 8), (6.0, 96)):
         ball = group_ball(G, z0, R)
-        assert ball.stats.rule == "generators"
         assert_same_elements(ball.matrices(),
                              group_ball(bolza_group, z0, R).matrices())
         assert len(ball) == count
-        assert len(fuchsian._enumerate(G, z0, R, sides=True)) < count
+        assert_words_multiply(G, ball)
 
 
 def test_sides_rule_candidates(bolza_group):
@@ -298,7 +404,6 @@ def test_sides_rule_candidates(bolza_group):
     and their 56 reduced extensions; pruned at R + 2 delta_max it tries
     41 616 candidates."""
     stats = group_ball(bolza_group, bolza_group.base_point, 4.0).stats
-    assert stats.rule == "sides"
     assert (stats.candidates, stats.kept) == (64, 8)
 
 

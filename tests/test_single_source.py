@@ -20,7 +20,10 @@ called only in the checked ``selberg._quad``, SciPy's ``CubicSpline``
 is built only in ``selberg._Spline``, and the cosh ratio of
 h_t is taken only in its one rule, ``spectral_action._h_t_nodes``, and
 a ``for`` loop (or comprehension) over range(start, stop, step), the
-block stride, is written only in the block map ``geom._blockwise``.
+block stride, is written only in the block map ``geom._blockwise``, and
+the ball enumerator ``fuchsian._enumerate`` is called only by the ball
+cache ``fuchsian._group_ball_cached`` and the search for the certified
+domain ``fuchsian._domain``.
 Two loops stay serial and are named exemptions: the enumerator
 ``fuchsian._enumerate``, whose blocks build candidate lists of varying
 length and whose ``group`` commands take milliseconds, and the lens
@@ -50,7 +53,8 @@ ALLOWED = {"nodes": {"_gauss_legendre"},
            "quad": {"_quad"},
            "spline": {"_Spline.__init__"},
            "cosh ratio": {"_h_t_nodes"},
-           "block stride": {"_blockwise", "_enumerate", "_lens_blocks"}}
+           "block stride": {"_blockwise", "_enumerate", "_lens_blocks"},
+           "enumeration": {"_group_ball_cached", "_domain"}}
 
 
 def _walk(node, func=None, owner=""):
@@ -187,6 +191,9 @@ def _sites():
             if (isinstance(node, ast.Call)
                     and _name(node.func) == "_mobius_batch"):
                 yield "mobius call", path.name, node.lineno, func
+            if (isinstance(node, ast.Call)
+                    and _name(node.func) == "_enumerate"):
+                yield "enumeration", path.name, node.lineno, func
             if _is_sign_cutoff(node):
                 yield "sign", path.name, node.lineno, func
             if _is_mc_error(node):
