@@ -518,8 +518,8 @@ def _domain(G: GroupSpec) -> _Domain:
                 f"group {G.name!r} (balls up to radius {R}, {spent} "
                 f"candidates); the last one failed: {failure}")
         # the doubled generators outside the ball, then the ball
-        pool = [(g, (k,)) for k, g in enumerate(gens)
-                if (k,) not in {w for _, w in ball.elements}]
+        inside = {w for _, w in ball.elements}
+        pool = [(g, (k,)) for k, g in enumerate(gens) if (k,) not in inside]
         pool += ball.elements
         near = _displacement(np.array([g.entries for g, _ in pool]),
                              [G.base_point.as_complex])[:, 0] <= reach
