@@ -42,15 +42,16 @@ lemma below then reduces every element of Gamma' to the identity by
 steps gamma -> s^-1 gamma, s the side bringing gamma z0 closest to z0.
 If every generator so reduces, Gamma' is the whole group and D = P.
 ``_domain`` tries the polygon of the doubled generators, then those of
-the doubled generators and the ball pruned at R in generator letters,
-for R = 1, 2, 3, ...; no candidate needs a proof, as the theorem judges
-it.  It stops with ValueError, naming the last candidate's failure, once
-``_CANDIDATE_BUDGET`` candidates are spent or the word cap truncates a
-ball.  A one-generator group's D is a strip (below), with no vertex to
-check; it is truncated to B(z0, 3) by capping rho at 3.
+the doubled generators, the ball pruned at R in generator letters and
+the inverses of its elements, for R = 1, 2, 3, ... (``_polygon`` builds
+each by convex-hull duality); no candidate needs a proof, as the theorem
+judges it.  It stops with ValueError, naming the last candidate's
+failure, once ``_CANDIDATE_BUDGET`` candidates are spent or the word cap
+truncates a ball.  A one-generator group's D is a strip (below), with no
+vertex to check; it is truncated to B(z0, 3) by capping rho at 3.
 
 Membership (``dirichlet_mask``) tests z against the sides of D only: the
-elements whose bisectors attain the envelope's minimum on an arc.  A
+elements whose bisectors bound it.  A
 compact D is a convex polygon, so it is the intersection of the
 half-planes H_g = {z : d(z, z0) < d(z, g z0)} of its sides (a set closed
 under inversion, as g maps the side on the bisector of z0 and g^-1 z0
@@ -58,7 +59,7 @@ onto the one of g).  For a one-generator group, whose D is a strip,
 D = H_g cap H_{g^-1}: in Fermi coordinates about the axis of g,
 n -> cosh d(z, g^n z0) = A cosh(n ell + s) + B with A > 0 is convex in
 n, so if n = 0 beats n = 1 and n = -1 it beats every n != 0.  The
-envelope's winners are then exactly g and g^-1, so one path serves both.
+sides are then exactly g and g^-1, so one path serves both.
 
 Pruning at R.  Let z0 be fixed by no nontrivial element and
 gamma != id.  Then w = gamma z0 has d(w, gamma z0) = 0 < d(w, z0), so
@@ -97,6 +98,7 @@ d(z0, gamma z0) <= d(z0, gamma z) + d(gamma z, gamma z0).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -497,16 +499,12 @@ def _domain(G: GroupSpec) -> _Domain:
     if len(G.generators) == 1:  # the strip: its sides are g and g^-1
         rows = _polar(G.base_point, gens)[2]
         rows.setflags(write=False)
-        return _Domain(*_envelope(G, gens, 3.0)[:2], math.inf, rows,
-                       letters, None)
-    elements, words = gens, letters[2]
-    spent, R, reach = 0, 0, math.inf
+        return _Domain(*_envelope(G, gens, 3.0), math.inf, rows, letters,
+                       None)
+    elements, words, spent, R = gens, letters[2], 0, 0
     while True:
         try:
-            shape = _envelope(G, elements, math.inf)
-            # no element moving z0 further than reach can cut P, nor D
-            reach = 2.0 * shape[1] + 1e-9
-            return _certified(G, elements, words, shape)
+            return _certified(G, elements, words)
         except ValueError as exc:
             failure = exc
         R += 1
@@ -517,27 +515,27 @@ def _domain(G: GroupSpec) -> _Domain:
                 f"no candidate polygon certifies the Dirichlet domain of "
                 f"group {G.name!r} (balls up to radius {R}, {spent} "
                 f"candidates); the last one failed: {failure}")
-        # the doubled generators outside the ball, then the ball
+        # the doubled generators outside the ball, the ball, and the
+        # inverses of its elements, as D's sides come in inverse pairs
         inside = {w for _, w in ball.elements}
-        pool = [(g, (k,)) for k, g in enumerate(gens) if (k,) not in inside]
-        pool += ball.elements
-        near = _displacement(np.array([g.entries for g, _ in pool]),
-                             [G.base_point.as_complex])[:, 0] <= reach
-        elements, words = zip(*(p for p, ok in zip(pool, near) if ok))
+        words = [(k,) for k in range(len(gens)) if (k,) not in inside]
+        elements = [gens[w[0]] for w in words] + [g for g, _ in ball.elements]
+        words += [w for _, w in ball.elements]
+        inv = _canonical_batch(ball.matrices()[:, [3, 1, 2, 0]]
+                               * (1.0, -1.0, -1.0, 1.0))
+        elements += [MobiusElement._raw(*e) for e in inv.tolist()]
+        words += [tuple(inv_index[k] for k in reversed(w))
+                  for _, w in ball.elements]
 
 
-def _certified(G: GroupSpec, elements, words, shape) -> _Domain:
+def _certified(G: GroupSpec, elements, words) -> _Domain:
     """D, when the polygon P cut out by the bisectors of z0 and gamma z0
-    for the given elements (with their words in the doubled generators),
-    of ``_envelope`` shape, passes Poincare's theorem (module docstring);
-    ValueError naming the condition that P fails otherwise."""
-    z0c = G.base_point.as_complex
-    area, radius, sides, starts = shape
+    for the given elements (with their words in the doubled generators)
+    passes Poincare's theorem (module docstring); ValueError naming the
+    condition that P fails otherwise."""
+    sides, vert = _polygon(G.base_point, elements)
     els = [elements[s] for s in sides]
-    rows = _polar(G.base_point, els)[2]
-    # vertex i begins side i, which runs to vertex i + 1 with P on its left
-    vert = _polar_batch(z0c, starts, np.arctanh(
-        rows[2] / (np.cos(starts) * rows[0] + np.sin(starts) * rows[1])))
+    # side i runs from vertex i to vertex i + 1 with P on its left
     nxt = np.roll(vert, -1)
     # the sides in the order of their words: the doubled generators' own
     # order when each side is one of them
@@ -573,7 +571,7 @@ def _certified(G: GroupSpec, elements, words, shape) -> _Domain:
             raise ValueError(f"the angles of a vertex cycle sum to {total!r},"
                              " not 2 pi / m for an integer m")
         cycles.append(tuple(cycle))
-    mats, zc = np.array([g.entries for g in els]), [z0c]
+    mats, zc = np.array([g.entries for g in els]), [G.base_point.as_complex]
     for k, g in enumerate(G.generators):
         cand, d = np.array([g.entries]), np.inf
         while (dc := _displacement(cand, zc)[:, 0]).min() < d:
@@ -584,13 +582,56 @@ def _certified(G: GroupSpec, elements, words, shape) -> _Domain:
             raise ValueError(f"generator {k} does not reduce to the "
                              "identity through the sides")
     rank = np.argsort(order)
-    rows = rows[:, order]
+    rows = _polar(G.base_point, [els[i] for i in order])[2]
     rows.setflags(write=False)
     letters = (tuple(els[i] for i in order),
                tuple(int(rank[partner[i]]) for i in order),
                tuple(words[sides[i]] for i in order))
+    area, radius = _envelope(G, [elements[s] for s in sorted(sides)],
+                             math.inf)
     return _Domain(area, radius, radius, rows, letters,
                    (vert, angle, tuple(cycles), miss))
+
+
+def _polygon(z0: Point, elements) -> tuple:
+    """The sides of the polygon P cut out by the bisectors of z0 and
+    gamma z0 for the given elements, counterclockwise (indices into
+    elements), and its vertices (complex), vertex i beginning side i;
+    ValueError if P is unbounded.  In the Klein model about z0 the
+    bisector of gamma is the line x . u = tanh(d_g/2), u the unit vector
+    at angle theta_g, so P is the polar dual of the convex hull of the
+    points u / tanh(d_g/2): its sides are the hull's corners and its
+    vertices the duals of the hull's edges.  P is bounded if the hull
+    holds 0 inside and those vertices lie inside the unit disc.  The
+    turn at a corner is the angle under which z0 sees its side; a turn
+    under 1e-9 rad is a bisector through a vertex where several meet,
+    and is dropped, as is an element repeated within rounding."""
+    rows = _polar(z0, elements)[2]
+    p = (rows[0] + 1j * rows[1]) / rows[2]
+    q = p.tolist()  # Python complex numbers, for the loop
+
+    def chain(idx):  # one half of the hull, by Andrew's monotone chain
+        out = []
+        for i in idx:
+            if out and abs(q[i] - q[out[-1]]) <= 1e-9 * abs(q[i]):
+                out[-1] = min(out[-1], i)  # the first of repeats
+                continue
+            while len(out) > 1 and cmath.phase(
+                    (q[i] - q[out[-1]]) / (q[out[-1]] - q[out[-2]])) <= 1e-9:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = np.lexsort((p.imag, p.real)).tolist()
+    sides = np.array(chain(order) + chain(order[::-1]), dtype=int)
+    a, b = p[np.roll(sides, 1)], p[sides]
+    det = (np.conj(a) * b).imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 1j * (a - b) / det  # the dual of the hull edge from a to b
+    if not (len(sides) > 2 and np.all(det > 0.0) and np.all(abs(x) < 1.0)):
+        raise ValueError("the polygon is unbounded")
+    return sides, _polar_batch(z0.as_complex, np.angle(x),
+                               np.arctanh(abs(x)))
 
 
 def dirichlet_domain(G: GroupSpec) -> tuple:
@@ -603,27 +644,14 @@ def dirichlet_domain(G: GroupSpec) -> tuple:
 
 
 def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
-    """(area, radius, sides, starts) of the region about z0 cut out by
-    the bisectors of z0 and gamma z0 for the given elements, and by
-    rho <= cap; sides indexes, counterclockwise, the elements whose
-    bisector attains the minimum on some arc, and starts holds the angle
-    at which each one's run of arcs begins."""
+    """(area, radius) of the bounded region about z0 cut out by the
+    bisectors of z0 and gamma z0 for the given elements, and by
+    rho <= cap.  The circle is split at every pairwise crossing, so the
+    elements should be few: the sides of D."""
     theta, d, rows = _polar(G.base_point, elements)
     T, C = rows[2], np.cosh(0.5 * d)
     half = np.arccos(T)  # half-width of each bisector's range
-    # Where the ranges leave a gap on the circle, rho is infinite: the
-    # region is unbounded (unless capped).  Sweep the ranges by start.
-    order = np.argsort((theta - half) % TWO_PI)
-    start = (theta - half)[order] % TWO_PI
-    gap = np.append(start[1:], start[0] + TWO_PI) > np.maximum.accumulate(
-        start + 2.0 * half[order])
-    if cap == math.inf and gap.any():
-        raise ValueError("the polygon is unbounded")
-    # two bisectors can cross only inside both of their ranges
     i, j = np.triu_indices(len(d), 1)
-    near = np.abs((theta[i] - theta[j] + math.pi) % TWO_PI - math.pi) \
-        < half[i] + half[j]
-    i, j = i[near], j[near]
     cross = np.arctan2(T[i] * np.cos(theta[j]) - T[j] * np.cos(theta[i]),
                        T[j] * np.sin(theta[i]) - T[i] * np.sin(theta[j]))
     capped = np.arccos(np.minimum(T / math.tanh(cap), 1.0))
@@ -648,14 +676,7 @@ def _envelope(G: GroupSpec, elements, cap: float) -> tuple:
     if not side.all():
         area += (math.cosh(cap) - 1.0) * float((hi - lo)[~side].sum())
         radius = cap
-    # The sides win the arcs bounded by a bisector, beyond the cap too,
-    # as the mask tests the untruncated D.  Where several bisectors meet
-    # at a vertex their computed crossings differ by a few ulps of 2 pi,
-    # leaving arcs that short on which any of them may win.
-    run = np.isfinite(rho) & (hi - lo > 1e-9)
-    k, lo = k[run], lo[run]
-    first = k != np.roll(k, 1)
-    return area, radius, k[first], lo[first]
+    return area, radius
 
 
 def _polar(z0: Point, elements) -> tuple:

@@ -267,13 +267,15 @@ def off_centre():
     G = builtin_group("bolza")
     z = Point(0.3, 1.2)
     els = [g for g, _ in group_ball(G, G.base_point, 7.0).elements]
-    area, radius, sides, _ = fuchsian._envelope(
-        dataclasses.replace(G, base_point=z), els, math.inf)
+    sides, _ = fuchsian._polygon(z, els)
+    area, radius = fuchsian._envelope(dataclasses.replace(G, base_point=z),
+                                      [els[k] for k in sides], math.inf)
     assert 2.0 * radius + 2.0 * hyp_dist(z, G.base_point) < 7.0
     assert area == pytest.approx(4.0 * math.pi, rel=1e-12)
     assert len(sides) == 18
-    pairings = []
-    for g in (els[k] for k in sides):
+    pairings = []  # counterclockwise from theta = 0
+    theta = fuchsian._polar(z, els)[0]
+    for g in (els[k] for k in sorted(sides, key=theta.__getitem__)):
         if not any(close(g.inverse(), h) for h in pairings):
             pairings.append(g)
     assert len(pairings) == 9
@@ -346,13 +348,11 @@ def test_certificate_rejects_a_missing_side(bolza_group, off_centre):
     for the first choice it is unbounded, and for the second the side of
     the first generator pairs with no side, missing by 4.7e-2."""
     sets = _missing_side_sets(bolza_group, off_centre)
-    gens = _doubled_generators(sets[0])[0]
+    words = [(k,) for k in range(16)]
     with pytest.raises(ValueError, match="unbounded"):
-        fuchsian._envelope(sets[0], gens, math.inf)
-    gens = _doubled_generators(sets[1])[0]
+        fuchsian._certified(sets[0], _doubled_generators(sets[0])[0], words)
     with pytest.raises(ValueError, match=r"word \(0,\) .* by 4\.7e-02"):
-        fuchsian._certified(sets[1], gens, [(k,) for k in range(16)],
-                            fuchsian._envelope(sets[1], gens, math.inf))
+        fuchsian._certified(sets[1], _doubled_generators(sets[1])[0], words)
 
 
 @pytest.mark.parametrize("choice", range(5))
@@ -389,13 +389,41 @@ def test_other_generators_certify_from_a_candidate_ball(bolza_group):
         bolza_group, generators=(g[0], g[0] @ g[1].inverse()) + g[2:])
     z0 = G.base_point
     with pytest.raises(ValueError, match="unbounded"):
-        fuchsian._envelope(G, _doubled_generators(G)[0], math.inf)
+        fuchsian._polygon(z0, _doubled_generators(G)[0])
     assert len(fuchsian._domain(G).polygon[0]) == 8
     for R, count in ((4.0, 8), (6.0, 96)):
         ball = group_ball(G, z0, R)
         assert_same_elements(ball.matrices(),
                              group_ball(bolza_group, z0, R).matrices())
         assert len(ball) == count
+        assert_words_multiply(G, ball)
+
+
+def _other_generating_set(bolza_group, kind):
+    g = bolza_group.generators
+    if kind == "g1^2 g2 for g2":
+        return (g[0], g[0] @ g[0] @ g[1]) + g[2:]
+    if kind == "inverses listed":
+        return g + tuple(MobiusElement(h.d, -h.b, -h.c, h.a) for h in g)
+    return g + g
+
+
+@pytest.mark.parametrize("kind", ["g1^2 g2 for g2", "inverses listed",
+                                  "listed twice"])
+def test_other_generating_sets_certify(bolza_group, kind):
+    """With g1^2 g2 in place of g2, the balls pruned at R in generator
+    letters hold g2 from R = 7 on but g2^-1 only from R = 10, so D
+    certifies early only because each candidate also holds the inverses
+    of its ball.  Elements listed twice, exactly or within rounding,
+    count once.  The balls are Bolza's, and their words multiply to their
+    elements."""
+    G = dataclasses.replace(
+        bolza_group, generators=_other_generating_set(bolza_group, kind))
+    assert len(fuchsian._domain(G).polygon[0]) == 8
+    for R, count in ((4.0, 8), (6.0, 96)):
+        ball = group_ball(G, G.base_point, R)
+        assert_same_elements(ball.matrices(), group_ball(
+            bolza_group, bolza_group.base_point, R).matrices())
         assert_words_multiply(G, ball)
 
 
