@@ -98,7 +98,6 @@ d(z0, gamma z0) <= d(z0, gamma z) + d(gamma z, gamma z0).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -610,14 +609,17 @@ def _polygon(z0: Point, elements) -> tuple:
     p = (rows[0] + 1j * rows[1]) / rows[2]
     q = p.tolist()  # Python complex numbers, for the loop
 
+    def turn(a, b, c):  # the angle of the left turn at b on a, b, c
+        w = (q[c] - q[b]) / (q[b] - q[a])
+        return math.atan2(w.imag, w.real)
+
     def chain(idx):  # one half of the hull, by Andrew's monotone chain
         out = []
         for i in idx:
             if out and abs(q[i] - q[out[-1]]) <= 1e-9 * abs(q[i]):
                 out[-1] = min(out[-1], i)  # the first of repeats
                 continue
-            while len(out) > 1 and cmath.phase(
-                    (q[i] - q[out[-1]]) / (q[out[-1]] - q[out[-2]])) <= 1e-9:
+            while len(out) > 1 and turn(out[-2], out[-1], i) <= 1e-9:
                 out.pop()
             out.append(i)
         return out[:-1]
