@@ -68,8 +68,7 @@ def test_csv_format_contract(tmp_path):
 
 def test_group_ball_reaches_radius_10(tmp_path):
     """Pruned at R through the side pairings, the Bolza ball of radius
-    10 finishes within the word cap of 24, which pruning at
-    R + 2 delta_max reached with branches still open."""
+    10 finishes within the word cap of 24."""
     out = tmp_path / "o"
     assert run(["group", "ball", "--group", "bolza", "--radius", "10",
                 "--out", str(out)]) == 0

@@ -359,9 +359,8 @@ def test_certificate_rejects_a_missing_side(bolza_group, off_centre):
 def test_side_check_finds_a_missing_side(bolza_group, off_centre,
                                          bolza_reference, choice):
     """Each missing-side set certifies from a candidate ball, and its
-    ball about z is the reference's, within 4 MB: the search for D no
-    longer grows without bound (one of these sets once passed 3 GB, and
-    another raised ValueError)."""
+    ball about z is the reference's, within 4 MB: the search for D
+    holds only balls pruned at R."""
     G = _missing_side_sets(bolza_group, off_centre)[choice]
     z = G.base_point
     tracemalloc.start()
@@ -429,8 +428,7 @@ def test_other_generating_sets_certify(bolza_group, kind):
 
 def test_sides_rule_candidates(bolza_group):
     """Pruned at R, the Bolza ball of radius 4 tries the 8 generators
-    and their 56 reduced extensions; pruned at R + 2 delta_max it tries
-    41 616 candidates."""
+    and their 56 reduced extensions."""
     stats = group_ball(bolza_group, bolza_group.base_point, 4.0).stats
     assert (stats.candidates, stats.kept) == (64, 8)
 
