@@ -101,13 +101,17 @@ class _Run:
 
 # ---------------------------------------------------------------- helpers
 
+def _finite(text):
+    """An argparse type: a finite number."""
+    x = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
 def _pair(text):
-    """An argparse type: two comma-separated numbers."""
-    try:
-        a, b = (float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "must be two comma-separated numbers") from None
+    """An argparse type: two comma-separated finite numbers."""
+    a, b = map(_finite, text.split(","))  # a ValueError: an invalid value
     return a, b
 
 
@@ -402,7 +406,7 @@ def _build_parser():
                     "surfaces.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--tol", type=_finite, default=None)
     common.add_argument("--out", default="out")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -414,9 +418,9 @@ def _build_parser():
                                       "thin-part"])
     g.add_argument("--group", default="cyclic_L2",
                    help="builtin name or JSON path")
-    g.add_argument("--radius", type=float, default=4.0)
-    g.add_argument("--rcap", type=float, default=8.0)
-    g.add_argument("--search-radius", type=float, default=4.0)
+    g.add_argument("--radius", type=_finite, default=4.0)
+    g.add_argument("--rcap", type=_finite, default=8.0)
+    g.add_argument("--search-radius", type=_finite, default=4.0)
     g.add_argument("--n", type=int, default=2000)
     g.set_defaults(func=_cmd_group)
 
@@ -424,19 +428,19 @@ def _build_parser():
     s.add_argument("action", choices=["forward", "inverse", "roundtrip",
                                       "heat"])
     s.add_argument("--kernel", default="disc", choices=["disc", "heat"])
-    s.add_argument("--t", type=float, default=1.0)
-    s.add_argument("--band", type=float, default=8.0)
-    s.add_argument("--smax", type=float, default=8.0)
+    s.add_argument("--t", type=_finite, default=1.0)
+    s.add_argument("--band", type=_finite, default=8.0)
+    s.add_argument("--smax", type=_finite, default=8.0)
     s.set_defaults(func=_cmd_selberg)
 
     pr = sub.add_parser("propagator", parents=[common])
     pr.add_argument("action", choices=["kernel", "hs", "ergodic-decay",
                                        "midpoint-check", "lens-volume"])
     pr.add_argument("--group", default="cyclic_L2")
-    pr.add_argument("--t", type=float, default=2.0)
-    pr.add_argument("--T", type=float, default=2.0)
-    pr.add_argument("--r", type=float, default=1.0)
-    pr.add_argument("--radius", type=float, default=1.5)
+    pr.add_argument("--t", type=_finite, default=2.0)
+    pr.add_argument("--T", type=_finite, default=2.0)
+    pr.add_argument("--r", type=_finite, default=1.0)
+    pr.add_argument("--radius", type=_finite, default=1.5)
     pr.add_argument("--tlist", default="2,3,4")
     pr.add_argument("--n", type=int, default=2000)
     pr.add_argument("--n-r", type=int, default=8)
@@ -444,7 +448,7 @@ def _build_parser():
 
     sa = sub.add_parser("spectral-action", parents=[common])
     sa.add_argument("--interval", type=_pair, default="1,2")
-    sa.add_argument("--T", type=float, default=50.0)
+    sa.add_argument("--T", type=_finite, default=50.0)
     sa.add_argument("--grid-n", type=int, default=16)
     sa.set_defaults(func=_cmd_spectral_action)
 
@@ -452,16 +456,16 @@ def _build_parser():
     tr.add_argument("action", choices=["weyl", "pretrace", "count",
                                        "expfit"])
     tr.add_argument("--window", type=_pair, default="1.25,4.25")
-    tr.add_argument("--eps", type=float, default=0.05)
-    tr.add_argument("--L", type=float, default=2.0)
-    tr.add_argument("--W", type=float, default=4.0)
-    tr.add_argument("--t", type=float, default=1.0)
+    tr.add_argument("--eps", type=_finite, default=0.05)
+    tr.add_argument("--L", type=_finite, default=2.0)
+    tr.add_argument("--W", type=_finite, default=4.0)
+    tr.add_argument("--t", type=_finite, default=1.0)
     tr.add_argument("--degree", type=int, default=1)
     tr.add_argument("--degrees", default="1,2,4")
-    tr.add_argument("--lam-max", type=float, default=60.0)
+    tr.add_argument("--lam-max", type=_finite, default=60.0)
     tr.add_argument("--n-grid", type=int, default=1500)
     tr.add_argument("--K", type=int, default=40)
-    tr.add_argument("--xmax", type=float, default=5.0)
+    tr.add_argument("--xmax", type=_finite, default=5.0)
     tr.set_defaults(func=_cmd_trace)
 
     q = sub.add_parser("qe", parents=[common])
@@ -469,10 +473,10 @@ def _build_parser():
     q.add_argument("--observable", required=True,
                    help='JSON {"values": [...]} aligned with the mesh')
     q.add_argument("--interval", type=_pair, default="1.25,4.25")
-    q.add_argument("--R", type=float, default=None)
-    q.add_argument("--ell-min", type=float, default=1.0)
-    q.add_argument("--rho-gap", type=float, default=0.5)
-    q.add_argument("--thin-volume", type=float, default=0.0)
+    q.add_argument("--R", type=_finite, default=None)
+    q.add_argument("--ell-min", type=_finite, default=1.0)
+    q.add_argument("--rho-gap", type=_finite, default=0.5)
+    q.add_argument("--thin-volume", type=_finite, default=0.0)
     q.set_defaults(func=_cmd_qe)
     return p
 

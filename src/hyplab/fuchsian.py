@@ -38,9 +38,10 @@ bounded, the element of each side maps the side of its inverse onto it
 sum to 2 pi / m for an integer m.  Then P is a fundamental domain of the
 group Gamma' that its side pairings generate, hence the Dirichlet domain
 of Gamma' at z0, which lies in P and is a fundamental domain too.  The
-lemma below then reduces every element of Gamma' to the identity by
-steps gamma -> s^-1 gamma, s the side bringing gamma z0 closest to z0.
-If every generator so reduces, Gamma' is the whole group and D = P.
+side walk below takes g z0 and g w (w at distance 1 from z0) to h g z0
+and h g w with h in Gamma'; if they land within 1e-9 of z0 and w, h g
+fixes two points, so g = h^-1.  If every generator g so reduces, Gamma'
+is the whole group and D = P.
 ``_domain`` tries the polygon of the doubled generators, then those of
 the doubled generators, the ball pruned at R in generator letters and
 the inverses of its elements, for R = 1, 2, 3, ... (``_polygon`` builds
@@ -87,13 +88,12 @@ whose displacement lies within rounding of that bound.  The lemma also
 shows that the sides generate the group (Beardon, The Geometry of
 Discrete Groups, ch. 9; Katok, Fuchsian Groups, ch. 4).
 
-Reduction (``reduce_to_domain``) moves z to the gamma z nearest the base
-point z0, searching only gamma with
-d(z0, gamma z0) <= min(2 d(z0, z), c + d(z0, z)), c the covering radius
-of D (infinite for a truncated D).  Proof: a minimizer has
-d(z0, gamma z) <= d(z0, z), as the identity competes, and puts gamma z
-in the closed domain, so d(z0, gamma z) <= c as well; then
-d(z0, gamma z0) <= d(z0, gamma z) + d(gamma z, gamma z0).
+The side walk (``_reduce``, which ``reduce_to_domain`` runs): while
+some side s brings a point z closer to z0, move z by the side that
+brings it closest, the first on ties.  It ends, as it strictly decreases
+d(z0, z) over a discrete orbit, and only in the closed D: for z outside
+it, the lemma's argument (for the strip, the convexity argument) gives
+a side s with d(z, s z0) < d(z, z0), so s^-1 brings z closer.
 """
 
 from __future__ import annotations
@@ -389,8 +389,8 @@ def group_ball(G: GroupSpec, z: Point, R: float) -> GroupBall:
     and ValueError, as from ``dirichlet_domain``, when D is not
     certified.
     """
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
     ball = _group_ball_cached(G, z, float(R))
     if ball.truncated:
         raise EnumerationTruncated(
@@ -424,32 +424,37 @@ def injectivity_radius(G: GroupSpec, z: Point, R_cap: float) -> float:
 
 def reduce_to_domain(G: GroupSpec, zc: np.ndarray, companion=None):
     """Move each complex point z into the closed Dirichlet domain at the
-    base point z0 by the gamma in {id} and the ball of radius
-    min(2 m, c + m) minimizing d(z0, gamma z), the first on ties, where
-    m = max d(z0, z) and c is D's covering radius, infinite when D is
-    truncated (the module docstring proves the radius suffices).
-    Returns (gamma z, the same gamma applied to ``companion`` or None).
-    ValueError, as from ``dirichlet_domain``, if D is not certified."""
-    zc = np.asarray(zc)
-    z0c = G.base_point.as_complex
-    far = float(_dist_c(np.full(zc.shape, z0c), zc).max(initial=0.0))
-    ball = group_ball(G, G.base_point, _ball_radius(
-        min(2.0 * far, _domain(G).covering + far)))
-    mats = np.vstack([[1.0, 0.0, 0.0, 1.0], ball.matrices()])
-    moved = np.empty_like(zc)
-    moved_comp = None if companion is None else np.empty_like(companion)
+    base point z0 by the side walk through D's sides (module docstring),
+    which ends at a gamma z nearest z0.  Returns (gamma z, the same gamma
+    applied to ``companion`` or None).  ValueError, as from
+    ``dirichlet_domain``, if D is not certified."""
+    pts = _reduce(np.array([g.entries for g in _domain(G).letters[0]]),
+                  G.base_point.as_complex,
+                  [zc] if companion is None else [zc, companion])
+    return pts[0], None if companion is None else pts[1]
+
+
+def _reduce(mats: np.ndarray, z0c, pts) -> np.ndarray:
+    """The side walk (module docstring): while some side, a row of mats,
+    brings a point of the first row of pts closer to z0c, move the points
+    of its column by the side that brings it closest, the first on ties.
+    Returns the moved points."""
+    pts = np.array(pts, dtype=complex)
 
     def block(blk):
-        gz = _mobius_batch(mats, zc[blk])
-        pick = np.argmin(_dist_c(np.full(gz.shape, z0c), gz), axis=0)
-        idx = np.arange(len(pick))
-        moved[blk] = gz[pick, idx]
-        if companion is not None:
-            moved_comp[blk] = _mobius_batch(mats, companion[blk])[pick, idx]
+        act = np.arange(*blk.indices(pts.shape[1]))  # columns still walking
+        while len(act):
+            img = _mobius_batch(mats, pts[:, act].ravel()).reshape(
+                len(mats), len(pts), len(act))
+            d = _dist_c(z0c, img[:, 0])
+            k, j = d.argmin(axis=0), np.arange(len(act))
+            closer = d[k, j] < _dist_c(z0c, pts[0, act])
+            act = act[closer]
+            pts[:, act] = img[k[closer], :, j[closer]].T
 
-    # blocks of points keep the (len(mats), block) temporaries bounded
-    _blockwise(block, len(zc), max(1, _SAMPLE_BLOCK // len(mats)))
-    return moved, moved_comp
+    # blocks of columns keep the (sides, block) temporaries bounded
+    _blockwise(block, pts.shape[1], max(1, _SAMPLE_BLOCK // len(mats)))
+    return pts
 
 
 def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
@@ -477,15 +482,13 @@ def dirichlet_mask(G: GroupSpec, zc: np.ndarray) -> np.ndarray:
 class _Domain(NamedTuple):
     """The Dirichlet domain D at the base point, as ``_domain`` certifies
     it: area, radius of the least ball about z0 covering the (possibly
-    truncated) D, covering radius of D itself (infinite when truncated),
-    per side rows cos theta_g, sin theta_g, tanh(d_g/2) of the polar
-    coordinates of gamma z0 (read-only, shape (3, sides)), the side
-    letters, and for a polygon its certificate: the vertices, their
+    truncated) D, per side rows cos theta_g, sin theta_g, tanh(d_g/2) of
+    the polar coordinates of gamma z0 (read-only, shape (3, sides)), the
+    side letters, and for a polygon its certificate: the vertices, their
     angles, the vertex cycles and the largest pairing miss."""
 
     area: float
     radius: float
-    covering: float
     sides: np.ndarray
     letters: tuple
     polygon: tuple | None
@@ -498,8 +501,7 @@ def _domain(G: GroupSpec) -> _Domain:
     if len(G.generators) == 1:  # the strip: its sides are g and g^-1
         rows = _polar(G.base_point, gens)[2]
         rows.setflags(write=False)
-        return _Domain(*_envelope(G, gens, 3.0), math.inf, rows, letters,
-                       None)
+        return _Domain(*_envelope(G, gens, 3.0), rows, letters, None)
     elements, words, spent, R = gens, letters[2], 0, 0
     while True:
         try:
@@ -570,16 +572,16 @@ def _certified(G: GroupSpec, elements, words) -> _Domain:
             raise ValueError(f"the angles of a vertex cycle sum to {total!r},"
                              " not 2 pi / m for an integer m")
         cycles.append(tuple(cycle))
-    mats, zc = np.array([g.entries for g in els]), [G.base_point.as_complex]
-    for k, g in enumerate(G.generators):
-        cand, d = np.array([g.entries]), np.inf
-        while (dc := _displacement(cand, zc)[:, 0]).min() < d:
-            gamma, d = cand[dc.argmin()], dc.min()
-            cand = _canonical_batch(_products(
-                mats, np.broadcast_to(gamma, mats.shape)))
-        if np.abs(gamma - (1.0, 0.0, 0.0, 1.0)).max() > _DEDUP_TOL:
-            raise ValueError(f"generator {k} does not reduce to the "
-                             "identity through the sides")
+    # g z0 and g w must walk back to z0 and w (module docstring)
+    z0c = G.base_point.as_complex
+    ends = np.array([[z0c], [_polar_batch(z0c, 0.0, 1.0)]])
+    back = _reduce(np.array([g.entries for g in els]), z0c,
+                   [[g.apply_complex(e) for g in G.generators]
+                    for e in ends[:, 0]])
+    off = _dist_c(back, ends).max(axis=0) > 1e-9
+    if off.any():
+        raise ValueError(f"generator {int(off.argmax())} does not reduce to "
+                         "the identity through the sides")
     rank = np.argsort(order)
     rows = _polar(G.base_point, [els[i] for i in order])[2]
     rows.setflags(write=False)
@@ -588,7 +590,7 @@ def _certified(G: GroupSpec, elements, words) -> _Domain:
                tuple(words[sides[i]] for i in order))
     area, radius = _envelope(G, [elements[s] for s in sorted(sides)],
                              math.inf)
-    return _Domain(area, radius, radius, rows, letters,
+    return _Domain(area, radius, rows, letters,
                    (vert, angle, tuple(cycles), miss))
 
 
@@ -742,7 +744,7 @@ def thin_part_fraction(G: GroupSpec, R: float, n: int, seed: int) -> tuple:
     if n < 1:
         raise ValueError("need at least one sample")
     D = _domain(G)
-    r_star = (math.acosh(1.0 + D.area / TWO_PI) if D.covering < math.inf
+    r_star = (math.acosh(1.0 + D.area / TWO_PI) if D.polygon is not None
               else math.inf)
     ball = group_ball(G, G.base_point, 2.0 * min(R, r_star) + 2.0 * D.radius)
     samples = _domain_samples(G, n, seed)

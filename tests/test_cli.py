@@ -9,7 +9,7 @@ import time
 import pytest
 
 from hyplab import selberg
-from hyplab.cli import run
+from hyplab.cli import _build_parser, run
 from hyplab.geom import _threads
 from hyplab.spectral_action import SpectralInterval, time_average_table
 
@@ -205,33 +205,55 @@ def test_malformed_group_is_a_clean_error(tmp_path):
     (["trace", "pretrace", "--W", "0"], 1),
     (["trace", "pretrace", "--W", "700", "--n-grid", "100"], 1),
     (["trace", "pretrace", "--W", "354", "--n-grid", "100"], 1),
-    (["trace", "pretrace", "--lam-max", "nan"], 1),
+    (["trace", "pretrace", "--lam-max", "nan"], 2),
     (["qe", "--eigen", "e.json", "--observable", "o.json",
       "--interval", "1,2,"], 2),
     (["propagator", "kernel", "--n", "1"], 1),
     (["propagator", "lens-volume", "--n", "1"], 1),
     (["propagator", "midpoint-check", "--n", "1"], 1),
     (["selberg", "forward", "--kernel", "heat", "--t", "0"], 1),
-    (["selberg", "roundtrip", "--kernel", "heat", "--t", "0"], 1)],
+    (["selberg", "roundtrip", "--kernel", "heat", "--t", "0"], 1),
+    (["group", "ball", "--radius", "nan"], 2),
+    (["group", "injrad", "--rcap", "nan"], 2),
+    (["group", "thin-part", "--radius", "nan"], 2),
+    (["group", "systole", "--search-radius", "inf"], 2),
+    (["propagator", "kernel", "--t", "inf"], 2),
+    (["propagator", "hs", "--T", "inf"], 2),
+    (["propagator", "midpoint-check", "--radius", "inf"], 2),
+    (["selberg", "heat", "--t", "inf"], 2),
+    (["trace", "weyl", "--window", "1,nan"], 2)],
     ids=["interval-3", "grid-n-1", "grid-n-0", "window-1", "window-letter",
          "degrees-0", "degree-0", "L-0", "W-0", "W-700", "W-354",
          "lam-max-nan", "qe-interval", "kernel-n-1", "lens-volume-n-1",
-         "midpoint-check-n-1", "forward-heat-t-0", "roundtrip-heat-t-0"])
+         "midpoint-check-n-1", "forward-heat-t-0", "roundtrip-heat-t-0",
+         "ball-radius-nan", "rcap-nan", "thin-part-radius-nan",
+         "search-radius-inf", "kernel-t-inf", "hs-T-inf",
+         "midpoint-check-radius-inf", "heat-t-inf", "window-nan"])
 def test_malformed_input_is_a_clean_error(tmp_path, argv, code):
-    """A malformed pair is a usage error (exit 2, nothing written); a
-    degenerate cylinder or s-grid, a cylinder with more circular modes
-    than ``synthetic._MAX_MODES``, a Monte Carlo estimate from one
-    sample (which has no error bar) or a heat kernel at t = 0 is a
-    ValueError (exit 1, error.json); none raises, warns, leaves a
-    manifest or runs for more than seconds."""
+    """A malformed pair or a number that is NaN or infinite is a usage
+    error (exit 2, nothing written); a degenerate cylinder or s-grid, a
+    cylinder with more circular modes than ``synthetic._MAX_MODES``, a
+    Monte Carlo estimate from one sample (which has no error bar) or a
+    heat kernel at t = 0 is a ValueError (exit 1, error.json); none
+    raises, warns, leaves a manifest or runs for more than seconds."""
     out = tmp_path / "o"
     t0 = time.monotonic()
     assert run(argv + ["--out", str(out)]) == code
     assert time.monotonic() - t0 < 20.0
     assert not (out / "manifest.json").exists()
+    if code == 2:
+        assert not out.exists()
     if code == 1:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ValueError" and err["message"]
+
+
+def test_infinite_ball_radius_is_a_usage_error():
+    """An infinite ball radius would enumerate without pruning, so the
+    parser rejects it before any command runs."""
+    with pytest.raises(SystemExit) as info:
+        _build_parser().parse_args(["group", "ball", "--radius", "inf"])
+    assert info.value.code == 2
 
 
 def test_spectral_action_writes_the_time_average_table(tmp_path):

@@ -343,6 +343,25 @@ def _missing_side_sets(bolza_group, off_centre):
                       max_word_length=40, base_point=z) for s in others]
 
 
+def test_certificate_rejects_a_generator_outside_the_sides_group(
+        bolza_group):
+    """S = (g2, g3, g4, g1^2, g1 g2 g1^-1, g1 g3 g1^-1, g1 g4 g1^-1)
+    generates Bolza's index-2 subgroup, whose D certifies with 20 sides
+    and area 8 pi.  Those sides pass every polygon check for S and g1
+    too, but g1 is not in the group they generate: generator 7 does not
+    walk back to the identity."""
+    g1, g2, g3, g4 = bolza_group.generators
+    h = g1.inverse()
+    S = (g2, g3, g4, g1 @ g1, g1 @ g2 @ h, g1 @ g3 @ h, g1 @ g4 @ h)
+    D = fuchsian._domain(dataclasses.replace(bolza_group, generators=S))
+    assert len(D.letters[0]) == 20
+    assert D.area == pytest.approx(8.0 * math.pi, rel=1e-12)
+    with pytest.raises(ValueError, match="generator 7 does not reduce"):
+        fuchsian._certified(
+            dataclasses.replace(bolza_group, generators=S + (g1,)),
+            D.letters[0], D.letters[2])
+
+
 def test_certificate_rejects_a_missing_side(bolza_group, off_centre):
     """Without one side pairing the generators' polygon at z is not D:
     for the first choice it is unbounded, and for the second the side of
@@ -579,6 +598,11 @@ def test_dirichlet_mask_is_the_brute_force_mask(name):
 
 @pytest.mark.parametrize("name", ["bolza", "cyclic_L2"])
 def test_reduce_to_domain_is_the_brute_force_argmin(name):
+    """The side walk lands each point on its translate nearest z0, as the
+    argmin over the R = 9 ball does, wherever that nearest translate is
+    unique: the best and second-best distances differ by over 1e-9.  The
+    walk composes several sides where the argmin applies one element, so
+    the points agree to 1e-12 relative, not bit for bit."""
     G = builtin_group(name)
     z0c = G.base_point.as_complex
     zc = _test_points(G, name, 1)
@@ -590,11 +614,42 @@ def test_reduce_to_domain_is_the_brute_force_argmin(name):
     gz = _mobius_batch(mats, zc)
     dists = _dist_c(z0c, gz)
     pick, idx = np.argmin(dists, axis=0), np.arange(len(zc))
+    best, second = np.partition(dists, 1, axis=0)[:2]
+    unique = second - best > 1e-9
+    assert unique.mean() > 0.99
     # the images of two points fix the element
-    assert np.array_equal(moved, gz[pick, idx])
-    assert np.array_equal(moved_comp, _mobius_batch(mats, comp)[pick, idx])
+    for got, ref in ((moved, gz[pick, idx]),
+                     (moved_comp, _mobius_batch(mats, comp)[pick, idx])):
+        assert np.all(np.abs(got - ref)[unique] <= 1e-12 * np.abs(ref)[unique])
     assert np.allclose(_dist_c(moved, moved_comp), _dist_c(zc, comp),
                        rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["bolza", "cyclic_L2"])
+def test_reduce_to_domain_is_idempotent(name):
+    """Points already reduced stay where they are, bit for bit."""
+    G = builtin_group(name)
+    moved, moved_comp = reduce_to_domain(G, _test_points(G, name, 1),
+                                         _test_points(G, name, 2))
+    again, again_comp = reduce_to_domain(G, moved, moved_comp)
+    assert np.array_equal(again, moved)
+    assert np.array_equal(again_comp, moved_comp)
+
+
+def test_reduce_to_domain_reaches_the_domain_from_afar(bolza_group):
+    """Points of B(z0, 8), several sides away from D, land in D: inside
+    every side's half-plane by the mask, within D's radius of z0, and as
+    far from their companions as before."""
+    G = bolza_group
+    zc = sample_ball_complex(G.base_point, 8.0, 2000, seed=5)
+    comp = sample_ball_complex(G.base_point, 8.0, 2000, seed=6)
+    assert _dist_c(G.base_point.as_complex, zc).max() > 7.5
+    moved, moved_comp = reduce_to_domain(G, zc, comp)
+    assert dirichlet_mask(G, moved).all()
+    assert (_dist_c(G.base_point.as_complex, moved).max()
+            <= dirichlet_domain(G)[1] + 1e-12)
+    assert np.allclose(_dist_c(moved, moved_comp), _dist_c(zc, comp),
+                       rtol=1e-9, atol=1e-9)
 
 
 def test_mask_and_reduction_are_thread_count_independent(bolza_group,
@@ -616,11 +671,9 @@ def test_reduce_to_domain_empty_input(bolza_group):
     assert reduce_to_domain(bolza_group, empty)[1] is None
 
 
-def test_midpoint_reduction_ball_is_c_plus_max_d(bolza_group, monkeypatch):
-    """A midpoint of z in D and z' in B(z, 2) lies within c + 1 of z0,
-    c = 2.448 the covering radius, so the reduction ball has radius at
-    most 2c + 1 = 5.9, rounded up to 6.0; 2 max d(z0, m) asks for 6.5
-    at these arguments."""
+def test_midpoint_reduction_builds_no_group_ball(bolza_group, monkeypatch):
+    """The midpoint change of variables reduces its midpoints by the side
+    walk through D's sides, with no group ball."""
     radii = []
     build = fuchsian._group_ball_cached
 
@@ -631,7 +684,7 @@ def test_midpoint_reduction_ball_is_c_plus_max_d(bolza_group, monkeypatch):
     monkeypatch.setattr(fuchsian, "_group_ball_cached", spy)
     midpoint_change_of_var_check(lambda mc, theta, r: np.exp(-r), 2.0,
                                  bolza_group, 2000, 1)
-    assert max(radii) == 6.0
+    assert radii == []
 
 
 def test_systole_ball_is_the_axis_bound(bolza_group, monkeypatch):
@@ -725,8 +778,9 @@ def test_min_displacement_batch_runs_in_bounded_blocks(bolza_group,
 def test_group_spec_validation():
     with pytest.raises(ValueError):
         GroupSpec(generators=())
-    with pytest.raises(ValueError):
-        group_ball(builtin_group("cyclic_L2"), Point(0, 1), -1.0)
+    for R in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            group_ball(builtin_group("cyclic_L2"), Point(0, 1), R)
     # a Schottky group (free, not cocompact): translations of length 4
     # along two perpendicular axes through i leave gaps between the four
     # bisectors, so the domain is unbounded

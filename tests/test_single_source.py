@@ -5,8 +5,11 @@ table of rules, data/gauss_legendre.npy, is named only in
 batched Mobius action (a*z + b)/(c*z + d) is written only in
 ``geom._mobius_batch`` (besides the scalar
 ``MobiusElement.apply_complex``) and called only by the displacement
-matrix ``fuchsian._displacement`` and the domain reduction
-``fuchsian.reduce_to_domain``, the determinant a*d - b*c and the
+matrix ``fuchsian._displacement`` and the side walk
+``fuchsian._reduce``, the greedy step through a domain's sides (a
+``while`` loop taking an ``argmin``) is written only in that side walk,
+which both the domain reduction and the certificate's generator check
+run, the determinant a*d - b*c and the
 canonical-sign cutoff abs(x) > 1e-12 of the PSL(2, R) normal form are
 written only in ``geom._canonical_batch``, a Monte Carlo error bar, a
 ``.std(..., ddof=1)`` call, is taken only in ``MCEstimate.of``, the
@@ -42,7 +45,8 @@ NODE_SOURCES = {"roots_legendre", "leggauss"}
 ALLOWED = {"nodes": {"_gauss_legendre"},
            "node table": {"_gl_table"},
            "mobius": {"_mobius_batch", "MobiusElement.apply_complex"},
-           "mobius call": {"_displacement", "reduce_to_domain"},
+           "mobius call": {"_displacement", "_reduce"},
+           "side walk": {"_reduce"},
            "det": {"_canonical_batch"},
            "sign": {"_canonical_batch"},
            "mc error": {"MCEstimate.of"},
@@ -158,6 +162,13 @@ def _is_block_stride(node):
             and len(it.args) == 3)
 
 
+def _is_side_walk(node):
+    """A while loop that takes an argmin: a greedy descent."""
+    return isinstance(node, ast.While) and any(
+        isinstance(sub, ast.Call) and _name(sub.func) == "argmin"
+        for sub in ast.walk(node))
+
+
 def _sites():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -194,6 +205,8 @@ def _sites():
             if (isinstance(node, ast.Call)
                     and _name(node.func) == "_enumerate"):
                 yield "enumeration", path.name, node.lineno, func
+            if _is_side_walk(node):
+                yield "side walk", path.name, node.lineno, func
             if _is_sign_cutoff(node):
                 yield "sign", path.name, node.lineno, func
             if _is_mc_error(node):
