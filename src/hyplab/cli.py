@@ -111,7 +111,7 @@ def _finite(text):
 
 def _pair(text):
     """An argparse type: two comma-separated finite numbers."""
-    a, b = map(_finite, text.split(","))  # a ValueError: an invalid value
+    a, b = map(_finite, text.split(","))  # a wrong count: ValueError too
     return a, b
 
 
